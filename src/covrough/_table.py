@@ -1,0 +1,88 @@
+"""The bit table of a covering, shared by the neighborhood, degree and
+reduction operators.
+
+One pass over the blocks records, for every element x, its neighborhood
+N(x), the intersection of the blocks containing x, as an element mask,
+and S_x, the blocks containing x, as a mask over block indices (bit j
+stands for the covering's j-th block in canonical order).
+
+Reducibility is bit-parallel over block indices.  The blocks that are
+proper subsets of block k are all blocks except k that contain no element
+outside k: everything but k, minus the union of S_x over the x outside k.
+Block k is the union of those blocks exactly when each of its elements
+lies in one of them, that is, when S_x meets that set for every x in k.
+"""
+
+from __future__ import annotations
+
+from .setsys import Covering
+
+
+class BitTable:
+    """Neighborhoods and containing-block sets of one family of blocks.
+
+    ``masks`` are the block bit vectors in canonical order, ``nbh[x]`` is
+    N(x) and ``holders[x]`` is S_x.  ``reducible`` is computed on first
+    use.
+    """
+
+    __slots__ = ("n", "masks", "nbh", "holders", "_reducible")
+
+    def __init__(self, n: int, masks: list[int]) -> None:
+        nbh = [-1] * n
+        holders = [0] * n
+        for j, m in enumerate(masks):
+            bit = 1 << j
+            rest = m
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                nbh[x] &= m
+                holders[x] |= bit
+                rest ^= low
+        self.n = n
+        self.masks = masks
+        self.nbh = nbh
+        self.holders = holders
+        self._reducible: list[bool] | None = None
+
+    def subsets(self, j: int) -> int:
+        """Block-index mask of the blocks that are proper subsets of
+        block ``j``."""
+        holders = self.holders
+        union = 1 << j
+        outside = ~self.masks[j] & ((1 << self.n) - 1)
+        while outside:
+            low = outside & -outside
+            union |= holders[low.bit_length() - 1]
+            outside ^= low
+        return ((1 << len(self.masks)) - 1) ^ union
+
+    @property
+    def reducible(self) -> list[bool]:
+        """Per block: is it the union of the blocks it properly contains."""
+        if self._reducible is None:
+            holders = self.holders
+            flags = []
+            for j, k in enumerate(self.masks):
+                subs = self.subsets(j)
+                hit = subs != 0
+                rest = k
+                while hit and rest:
+                    low = rest & -rest
+                    hit = holders[low.bit_length() - 1] & subs != 0
+                    rest ^= low
+                flags.append(hit)
+            self._reducible = flags
+        return self._reducible
+
+
+def table(c: Covering) -> BitTable:
+    """The bit table of ``c``.  Built on first use and kept on ``c``, so
+    every operator applied to one covering shares a single pass.  Two
+    threads may both build it; the tables they build are equal."""
+    t = c._table
+    if t is None:
+        t = BitTable(c.universe.size, [b.bits for b in c.blocks])
+        object.__setattr__(c, "_table", t)
+    return t

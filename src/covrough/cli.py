@@ -11,7 +11,9 @@ Subcommands::
 
 Coverings are read from JSON files ({"universe": [...], "blocks": [[...]]}).
 Results go to stdout, errors to stderr.  Exit codes: 0 success, 1 bad input
-or failed verification, 2 usage error.
+or failed verification, 2 usage error.  A negative ``--limit`` and a
+``--n`` below 1 are usage errors; ``--n`` above 4 without ``--allow-large``,
+or above 5, is refused with exit code 1.
 """
 
 from __future__ import annotations
@@ -89,6 +91,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if not summary.violations else 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}; got {value}")
+        return value
+
+    return parse
+
+
 def _add_file_argument(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", help="covering file (JSON)")
 
@@ -131,13 +148,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "preimages", help="enumerate the coverings whose neighborhoods equal this family"
     )
     _add_file_argument(sub)
-    sub.add_argument("--limit", type=int, default=None, help="stop after N results")
+    sub.add_argument(
+        "--limit", type=_at_least(0), default=None, help="stop after N results"
+    )
     sub.set_defaults(func=_cmd_preimages)
 
     sub = subs.add_parser(
         "verify", help="exhaustively verify all structural laws for universe size N"
     )
-    sub.add_argument("--n", type=int, required=True, help="universe size (1..4)")
+    sub.add_argument(
+        "--n", type=_at_least(1), required=True, help="universe size (1..4)"
+    )
     sub.add_argument(
         "--allow-large",
         action="store_true",
@@ -166,6 +187,9 @@ def run(argv: list[str]) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: JSON input is nested too deeply", file=sys.stderr)
         return 1
     except CoveringError as exc:
         print(f"error: {exc}", file=sys.stderr)

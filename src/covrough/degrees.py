@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._table import table
 from .setsys import Block, Covering
 
 
@@ -58,16 +59,15 @@ def core_block(c: Covering, x: str) -> Block | None:
     the defining condition (x in K and every y in K shares all of x's
     blocks); the test suite compares both routes.
     """
-    i = c.universe.index(x)
-    inter = -1
-    for b in c.blocks:
-        if b.bits >> i & 1:
-            inter &= b.bits
+    inter = table(c).nbh[c.universe.index(x)]
     return Block(c.universe, inter) if c.has_bits(inter) else None
 
 
 def core_block_assignment(c: Covering) -> CoreBlockAssignment:
-    per = {x: core_block(c, x) for x in c.universe.names}
+    per = {
+        x: Block(c.universe, inter) if c.has_bits(inter) else None
+        for x, inter in zip(c.universe.names, table(c).nbh)
+    }
     return CoreBlockAssignment(
         per_element=per,
         core_blocks=frozenset(b for b in per.values() if b is not None),
@@ -85,14 +85,10 @@ def degree_profile(c: Covering) -> DegreeProfile:
     """Materialize both degree tables; meant for reporting, not for point
     queries (the table is quadratic in the universe size)."""
     names = c.universe.names
-    index_sets = {x: 0 for x in names}
-    for j, b in enumerate(c.blocks):
-        for i, x in enumerate(names):
-            if b.bits >> i & 1:
-                index_sets[x] |= 1 << j
-    membership = {x: index_sets[x].bit_count() for x in names}
+    holders = dict(zip(names, table(c).holders))
+    membership = {x: holders[x].bit_count() for x in names}
     common = {
-        (x, y): (index_sets[x] & index_sets[y]).bit_count()
+        (x, y): (holders[x] & holders[y]).bit_count()
         for x in names
         for y in names
     }

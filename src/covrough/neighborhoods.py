@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .reduction import _witness_bits
+from ._table import table
 from .setsys import Block, Covering
 
 
@@ -33,44 +33,23 @@ class RejectReason(enum.Enum):
     REDUCIBLE_BLOCK = "a block is a union of other blocks"
 
 
-def _neighborhood_bits(c: Covering) -> list[int]:
-    """Intersection of the containing blocks, per element index."""
-    inter = [-1] * c.universe.size
-    for b in c.blocks:
-        bits = b.bits
-        while bits:
-            low = bits & -bits
-            inter[low.bit_length() - 1] &= b.bits
-            bits ^= low
-    return inter
-
-
 def neighborhood(c: Covering, x: str) -> Block:
     """Intersection of all blocks of ``c`` containing ``x``."""
-    i = c.universe.index(x)
-    inter = -1
-    for b in c.blocks:
-        if b.bits >> i & 1:
-            inter &= b.bits
-    return Block(c.universe, inter)
+    return Block(c.universe, table(c).nbh[c.universe.index(x)])
 
 
 def neighborhood_map(c: Covering) -> NeighborhoodMap:
-    inter = _neighborhood_bits(c)
     per = {
         name: Block(c.universe, bits)
-        for name, bits in zip(c.universe.names, inter)
+        for name, bits in zip(c.universe.names, table(c).nbh)
     }
-    family = Covering(
-        c.universe, tuple(Block(c.universe, m) for m in sorted(set(inter)))
-    )
-    return NeighborhoodMap(covering=c, per_element=per, family=family)
+    return NeighborhoodMap(covering=c, per_element=per, family=cov(c))
 
 
 def cov(c: Covering) -> Covering:
     """The neighborhoods of ``c``: the deduplicated family of all element
     neighborhoods, in canonical order.  Always a valid covering."""
-    masks = sorted(set(_neighborhood_bits(c)))
+    masks = sorted(set(table(c).nbh))
     return Covering(c.universe, tuple(Block(c.universe, m) for m in masks))
 
 
@@ -81,7 +60,7 @@ def is_cov_fixed_point(c: Covering) -> bool:
 
 
 def quick_reject_neighborhoods(c: Covering) -> RejectReason | None:
-    """Necessary-condition screen, cheaper than computing the neighborhoods.
+    """Necessary-condition screen that names why ``c`` is rejected.
 
     Returns the first failed condition (block count checked before
     reducibility) or ``None`` when neither fails.  A returned reason
@@ -90,7 +69,6 @@ def quick_reject_neighborhoods(c: Covering) -> RejectReason | None:
     """
     if len(c.blocks) > c.universe.size:
         return RejectReason.TOO_MANY_BLOCKS
-    bits = [b.bits for b in c.blocks]
-    if any(_witness_bits(bits, k) == k for k in bits):
+    if any(table(c).reducible):
         return RejectReason.REDUCIBLE_BLOCK
     return None

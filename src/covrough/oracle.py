@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UniverseTooLarge
-from .neighborhoods import cov, is_cov_fixed_point
+from .neighborhoods import cov
 from .reduction import is_invariable
 from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
 
@@ -375,7 +375,12 @@ def _check_covering(
     if fixed and (len(masks) > n or any(reducible)):
         bad.append("quick-reject-sound")
 
-    if _cov_masks(n, _reduct_masks(masks)) != covfam:
+    # the iterative reduct keeps exactly the blocks that were irreducible
+    # to begin with, so the library's one-pass reduct is sound
+    reduced = _reduct_masks(masks)
+    if reduced != tuple([m for m, r in zip(masks, reducible) if not r]):
+        bad.append("reduct-one-pass")
+    if _cov_masks(n, reduced) != covfam:
         bad.append("reduct-preserves-neighborhoods")
 
     return partition, irreducible, invariable, fixed, bad
@@ -422,13 +427,14 @@ def census(n: int) -> Iterator[CensusRow]:
     through the public operations (not the raw law checker)."""
     for c in enumerate_coverings(n):
         verdict = is_invariable(c)
+        image = cov(c)
         yield CensusRow(
             covering=c,
             is_partition=is_partition(c),
             is_irreducible=not verdict.reducible_blocks,
             is_invariable=verdict.invariable,
-            is_cov_fixed_point=is_cov_fixed_point(c),
-            cov_image=cov(c),
+            is_cov_fixed_point=image == c,
+            cov_image=image,
         )
 
 
@@ -437,8 +443,11 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
 
     Empty exactly when ``d`` is not a fixed point; when it is one, the
     result contains ``d`` itself.  Exhaustive search, capped at 4-element
-    universes.
+    universes.  ``limit`` keeps only the first ``limit`` results (none for
+    0); a negative limit raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0; got {limit}")
     n = d.universe.size
     if n > MAX_PREIMAGE_SIZE:
         raise UniverseTooLarge(
@@ -447,6 +456,8 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
         )
     target = tuple(b.bits for b in d.blocks)
     found: list[Covering] = []
+    if limit == 0:
+        return found
     for masks in _mask_families(n):
         if _cov_masks(n, masks) == target:
             found.append(_covering_from_masks(d.universe, masks))

@@ -1,10 +1,19 @@
 """Reducible elements, covering reduction, and invariable coverings.
 
 A block is reducible when it equals the union of other blocks of the
-covering.  Any such union can only use proper subsets of the block, so the
-witness search takes the union of all proper-subset blocks and compares it
-with the block itself; that is sound and complete and avoids enumerating
-subfamilies.
+covering.  Any such union can only use proper subsets of the block, so a
+block is reducible exactly when the union of all its proper-subset blocks
+rebuilds it; no subfamily needs enumerating.  The covering's bit table
+(see ``_table``) finds every block's proper subsets at once, bit-parallel
+over block indices, and a block is reducible when each of its elements
+lies in one of them.
+
+The reduct is the family of irreducible blocks.  Removing a reducible
+block never changes whether another block is reducible: every reducible
+block is the union of the irreducible blocks below it, and an irreducible
+block stays irreducible when blocks are removed.  So one pass that keeps
+the irreducible blocks gives what removing reducible blocks one at a time,
+in any order, gives.
 
 An invariable covering is an irreducible covering in which every element
 has a core block.  These are exactly the coverings equal to their own
@@ -13,9 +22,10 @@ neighborhoods; the oracle module checks that equivalence exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .degrees import core_block_assignment
+from ._table import BitTable, table
 from .errors import BlockNotInCovering
 from .setsys import Block, Covering
 
@@ -45,13 +55,16 @@ class InvariabilityVerdict:
         return self.invariable
 
 
-def _witness_bits(block_bits: list[int], k: int) -> int:
-    """Union of all blocks that are proper subsets of mask ``k``."""
-    union = 0
-    for m in block_bits:
-        if m != k and m & ~k == 0:
-            union |= m
-    return union
+def _witness(c: Covering, t: BitTable, j: int) -> tuple[Block, ...]:
+    """All blocks of ``c`` that are proper subsets of its ``j``-th block,
+    in canonical order."""
+    subs = t.subsets(j)
+    out = []
+    while subs:
+        low = subs & -subs
+        out.append(c.blocks[low.bit_length() - 1])
+        subs ^= low
+    return tuple(out)
 
 
 def is_reducible_element(c: Covering, k: Block) -> tuple[Block, ...] | None:
@@ -62,50 +75,42 @@ def is_reducible_element(c: Covering, k: Block) -> tuple[Block, ...] | None:
     """
     if k not in c:
         raise BlockNotInCovering(f"block {k} is not in the covering")
-    witness = [b for b in c.blocks if b.bits != k.bits and b.issubset(k)]
-    union = 0
-    for b in witness:
-        union |= b.bits
-    return tuple(witness) if union == k.bits else None
+    t = table(c)
+    j = bisect_left(t.masks, k.bits)
+    return _witness(c, t, j) if t.reducible[j] else None
 
 
 def reducibility_report(c: Covering) -> ReducibilityReport:
-    per = {b: is_reducible_element(c, b) for b in c.blocks}
+    t = table(c)
+    per = {
+        b: _witness(c, t, j) if reducible else None
+        for j, (b, reducible) in enumerate(zip(c.blocks, t.reducible))
+    }
     return ReducibilityReport(
         per_block=per,
-        is_irreducible_covering=all(w is None for w in per.values()),
+        is_irreducible_covering=not any(t.reducible),
     )
 
 
 def reduct(c: Covering) -> Covering:
-    """Remove reducible blocks until none remain.
+    """The irreducible blocks of ``c``: one pass over the bit-parallel
+    reducibility flags.
 
-    Removal order is fixed (lowest canonical index first) for determinism;
-    the result does not depend on the order, which the test suite verifies
-    by exploring every removal order on small universes.
+    This equals removing reducible blocks one at a time until none remain,
+    in any order (see the module docstring); the oracle checks that
+    against its own iterative reduction on every small covering.
     """
-    bits = [b.bits for b in c.blocks]
-    changed = True
-    while changed:
-        changed = False
-        for i, k in enumerate(bits):
-            if _witness_bits(bits, k) == k:
-                del bits[i]
-                changed = True
-                break
-    return Covering(c.universe, tuple(Block(c.universe, m) for m in bits))
+    kept = tuple(b for b, r in zip(c.blocks, table(c).reducible) if not r)
+    return Covering(c.universe, kept)
 
 
 def is_invariable(c: Covering) -> InvariabilityVerdict:
     """Decide whether ``c`` is invariable: irreducible and every element
     has a core block."""
-    bits = [b.bits for b in c.blocks]
-    reducible = tuple(
-        b for b in c.blocks if _witness_bits(bits, b.bits) == b.bits
-    )
-    assignment = core_block_assignment(c)
+    t = table(c)
+    reducible = tuple(b for b, r in zip(c.blocks, t.reducible) if r)
     missing = tuple(
-        x for x in c.universe.names if assignment.per_element[x] is None
+        x for x, inter in zip(c.universe.names, t.nbh) if not c.has_bits(inter)
     )
     return InvariabilityVerdict(
         invariable=not reducible and not missing,

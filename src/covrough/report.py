@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degrees import core_block_assignment, degree_profile
-from .neighborhoods import is_cov_fixed_point, neighborhood_map
-from .reduction import is_invariable, reducibility_report
+from .neighborhoods import neighborhood_map
+from .reduction import reducibility_report
 from .setsys import Block, Covering, covering_to_dict, is_partition
 
 
@@ -50,6 +50,7 @@ class AnalysisReport:
 def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
     """Compute the full report for one covering.
 
+    Every row and verdict is derived from the covering's one bit table.
     The pair-degree matrix is opt-in: it is quadratic in the universe size
     and rarely wanted.
     """
@@ -58,7 +59,6 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
     assignment = core_block_assignment(c)
     profile = degree_profile(c)
     red = reducibility_report(c)
-    verdict = is_invariable(c)
 
     elements = tuple(
         ElementRow(
@@ -74,21 +74,25 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
         lam = tuple(
             tuple(profile.common[x, y] for y in names) for x in names
         )
+    core_of: dict[Block, list[str]] = {}
+    for x in names:
+        g = assignment.per_element[x]
+        if g is not None:
+            core_of.setdefault(g, []).append(x)
     blocks = tuple(
         BlockRow(
             block=b,
-            core_block_of=tuple(
-                x for x in names if assignment.per_element[x] == b
-            ),
+            core_block_of=tuple(core_of.get(b, ())),
             witness=red.per_block[b],
         )
         for b in c.blocks
     )
+    all_cored = all(g is not None for g in assignment.per_element.values())
     classification = Classification(
         partition=is_partition(c),
         irreducible=red.is_irreducible_covering,
-        invariable=verdict.invariable,
-        cov_fixed_point=is_cov_fixed_point(c),
+        invariable=red.is_irreducible_covering and all_cored,
+        cov_fixed_point=nm.family == c,
     )
     return AnalysisReport(
         covering=c,

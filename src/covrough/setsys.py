@@ -142,6 +142,8 @@ class Covering:
     universe: Universe
     blocks: tuple[Block, ...]
     _bitset: frozenset[int] = field(init=False, repr=False, compare=False)
+    # The derived operators' bit table, built on first use (see _table).
+    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(sorted(self.blocks, key=lambda b: b.bits))

@@ -105,6 +105,13 @@ class TestPreimagesCommand:
         out = run_ok(capsys, ["preimages", write_file(singletons3), "--limit", "4"])
         assert len(out.splitlines()) == 4
 
+    def test_limit_zero_prints_nothing(self, capsys, write_file, singletons3):
+        assert run_ok(capsys, ["preimages", write_file(singletons3), "--limit", "0"]) == ""
+
+    def test_negative_limit_is_usage_error(self, capsys, write_file, singletons3):
+        assert run(["preimages", write_file(singletons3), "--limit", "-1"]) == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_empty_for_non_fixed_point(self, capsys, write_file, overlapping_pair):
         assert run_ok(capsys, ["preimages", write_file(overlapping_pair)]) == ""
 
@@ -130,6 +137,15 @@ class TestVerifyCommand:
     def test_refuses_huge_universe(self, capsys):
         assert run(["verify", "--n", "5"]) == 1
         assert "allow_large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_usage_error(self, capsys, n):
+        assert run(["verify", "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    def test_n_above_five_is_refused(self, capsys):
+        assert run(["verify", "--n", "6", "--allow-large"]) == 1
+        assert "capped at 5" in capsys.readouterr().err
 
     def test_exit_one_when_laws_fail(self, capsys, monkeypatch):
         from covrough import oracle
@@ -165,6 +181,13 @@ class TestErrorHandling:
         path.write_text('{"universe": ["1", "2"], "blocks": [["1"]]}')
         assert run(["cov", str(path)]) == 1
         assert "misses element" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"universe": ' + "[" * depth + "]" * depth + "}")
+        assert run(["cov", str(path)]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2

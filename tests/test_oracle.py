@@ -125,6 +125,15 @@ class TestVerifyLaws:
         assert set(entry) == {"covering", "law"}
         assert set(entry["covering"]) == {"universe", "blocks"}
 
+    def test_wrong_reduct_is_reported(self, monkeypatch):
+        # an iterative reduct that removes nothing leaves the neighborhoods
+        # alone but disagrees with the one-pass filter on reducible coverings
+        from covrough import oracle
+
+        monkeypatch.setattr(oracle, "_reduct_masks", lambda masks: masks)
+        laws = {law for _, law in oracle.verify_laws(2).violations}
+        assert laws == {"reduct-one-pass"}
+
 
 class TestCensus:
     def test_rows_are_consistent(self, fixed_non_partition):
@@ -161,6 +170,13 @@ class TestPreimages:
 
     def test_limit_truncates(self, singletons3):
         assert len(preimages(singletons3, limit=7)) == 7
+
+    def test_limit_zero_returns_nothing(self, singletons3):
+        assert preimages(singletons3, limit=0) == []
+
+    def test_negative_limit_rejected(self, singletons3):
+        with pytest.raises(ValueError):
+            preimages(singletons3, limit=-1)
 
     def test_every_preimage_maps_back(self, singletons3):
         for p in preimages(singletons3):

@@ -13,7 +13,8 @@ from covrough import (
     reducibility_report,
     reduct,
 )
-from covrough.oracle import _mask_families
+from covrough._table import BitTable, table
+from covrough.oracle import _mask_families, _reducible_flags
 
 from .oracles import family_of, is_union_of_others
 from .strategies import coverings
@@ -53,6 +54,22 @@ class TestIsReducibleElement:
             for w in witness:
                 union |= w.bits
             assert union == b.bits
+
+
+class TestBitParallelFlags:
+    """The table's bit-parallel reducibility flags against the oracle's
+    pairwise subset scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_oracle_exhaustively(self, n):
+        for masks in _mask_families(n):
+            assert BitTable(n, list(masks)).reducible == _reducible_flags(masks)
+
+    @settings(max_examples=200)
+    @given(coverings(max_elements=64, max_blocks=40))
+    def test_match_oracle_random(self, c):
+        masks = tuple(b.bits for b in c.blocks)
+        assert table(c).reducible == _reducible_flags(masks)
 
 
 class TestReducibilityReport:
