@@ -19,6 +19,7 @@ or above 5, is refused with exit code 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -110,6 +111,7 @@ def _add_file_argument(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", help="covering file (JSON)")
 
 
+@functools.cache  # built on first use, then shared: parse_args never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covrough",
@@ -172,9 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code) if exc.code else 0
     try:

@@ -15,7 +15,8 @@ the public operations are exercised against it by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import and_
+from typing import Iterable, Iterator
 
 from .errors import UniverseTooLarge
 from .neighborhoods import cov
@@ -97,8 +98,17 @@ def _mask_families(n: int) -> Iterator[tuple[int, ...]]:
             yield tuple(masks)
 
 
-def _covering_from_masks(universe: Universe, masks: tuple[int, ...]) -> Covering:
-    return Covering(universe, tuple(Block(universe, m) for m in masks))
+def _blocks_by_mask(universe: Universe) -> list[Block | None]:
+    """One shared ``Block`` per nonempty subset, indexed by its bit vector
+    (index 0, the empty set, holds ``None``).  Blocks are immutable, so the
+    coverings built from one universe can all share them."""
+    return [None] + [Block(universe, m) for m in range(1, universe.full_bits + 1)]
+
+
+def _covering_from_masks(
+    universe: Universe, blocks: list[Block | None], masks: Iterable[int]
+) -> Covering:
+    return Covering(universe, tuple(blocks[m] for m in masks))
 
 
 def enumerate_coverings(n: int) -> Iterator[Covering]:
@@ -110,8 +120,9 @@ def enumerate_coverings(n: int) -> Iterator[Covering]:
 def enumerate_coverings_over(universe: Universe) -> Iterator[Covering]:
     """Same enumeration over a caller-supplied universe (size capped)."""
     n = _check_size(universe.size)
+    blocks = _blocks_by_mask(universe)
     for masks in _mask_families(n):
-        yield _covering_from_masks(universe, masks)
+        yield _covering_from_masks(universe, blocks, masks)
 
 
 def _check_size(n: int) -> int:
@@ -400,6 +411,7 @@ def verify_laws(n: int, allow_large: bool = False) -> VerificationSummary:
             f"by default; pass allow_large=True to run n={n} anyway"
         )
     universe = default_universe(n)
+    blocks = _blocks_by_mask(universe)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
     for masks in _mask_families(n):
@@ -410,7 +422,7 @@ def verify_laws(n: int, allow_large: bool = False) -> VerificationSummary:
         invariable += inv
         fixed_points += fix
         for law in bad:
-            violations.append((_covering_from_masks(universe, masks), law))
+            violations.append((_covering_from_masks(universe, blocks, masks), law))
     return VerificationSummary(
         universe_size=n,
         total_coverings=total,
@@ -442,25 +454,56 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     """All coverings whose neighborhoods equal ``d``, in enumeration order.
 
     Empty exactly when ``d`` is not a fixed point; when it is one, the
-    result contains ``d`` itself.  Exhaustive search, capped at 4-element
-    universes.  ``limit`` keeps only the first ``limit`` results (none for
-    0); a negative limit raises ``ValueError``.
+    result contains ``d`` itself.  ``limit`` keeps only the first ``limit``
+    results (none for 0); a negative limit raises ``ValueError``.  Capped at
+    4-element universes.
+
+    The search is structural.  A fixed point ``d`` defines a preorder,
+    y <= x iff y is in N(x), whose principal down-sets are the
+    neighborhoods.  A covering C has Cov(C) = d iff every block of C is a
+    down-set of this preorder and, for each x, the blocks of C containing
+    x intersect to exactly N(x).  So only families of down-sets are
+    searched: depth first from the highest down-set, leaving a set out
+    before putting it in, which yields families in ascending family-mask
+    order, the order of ``enumerate_coverings``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0; got {limit}")
     n = d.universe.size
     if n > MAX_PREIMAGE_SIZE:
         raise UniverseTooLarge(
-            f"preimage search is exhaustive and capped at "
-            f"{MAX_PREIMAGE_SIZE} elements; got {n}"
+            f"preimage search is capped at {MAX_PREIMAGE_SIZE} elements; got {n}"
         )
     target = tuple(b.bits for b in d.blocks)
     found: list[Covering] = []
-    if limit == 0:
+    if limit == 0 or _cov_masks(n, target) != target:
         return found
-    for masks in _mask_families(n):
-        if _cov_masks(n, masks) == target:
-            found.append(_covering_from_masks(d.universe, masks))
+    down, _ = _element_tables(n, target)
+    goal = tuple(down)
+    downsets = [
+        m
+        for m in range(1, 1 << n)
+        if all(down[x] & ~m == 0 for x in range(n) if m >> x & 1)
+    ]
+    # Per down-set, what it does to each element's running intersection
+    # when put in: -1 (no change) for the elements outside it.
+    meets = [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in downsets]
+    universe = d.universe
+    blocks = _blocks_by_mask(universe)
+    # Depth first over (next down-set index, running intersections, chosen
+    # down-sets).  A popped state leaves down-sets i, i-1, ..., 0 out in
+    # turn and defers on the stack each branch that puts one of them in.
+    # An element in no chosen block keeps -1, so reaching ``goal`` also
+    # proves the family covers the universe.
+    stack = [(len(downsets) - 1, (-1,) * n, ())]
+    while stack:
+        i, inter, chosen = stack.pop()
+        for j in range(i, -1, -1):
+            stack.append(
+                (j - 1, tuple(map(and_, inter, meets[j])), chosen + (downsets[j],))
+            )
+        if inter == goal:
+            found.append(_covering_from_masks(universe, blocks, chosen))
             if limit is not None and len(found) >= limit:
                 break
     return found

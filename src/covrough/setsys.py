@@ -199,14 +199,18 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
     Raises ``EmptyBlock``, ``UnknownElement``, ``DuplicateBlock`` or
     ``NotACover``, with the offending block index in the message.
     """
+    index = universe._index
     blocks: list[Block] = []
     seen: dict[int, int] = {}
     for i, labels in enumerate(subsets):
         bits = 0
         for label in labels:
-            if label not in universe:
-                raise UnknownElement(f"block #{i}: unknown element {label!r}")
-            bits |= 1 << universe.index(label)
+            try:
+                bits |= 1 << index[label]
+            except KeyError:
+                raise UnknownElement(
+                    f"block #{i}: unknown element {label!r}"
+                ) from None
         if bits == 0:
             raise EmptyBlock(f"block #{i} is empty")
         if bits in seen:

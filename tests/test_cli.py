@@ -195,6 +195,21 @@ class TestErrorHandling:
         capsys.readouterr()
 
 
+class TestParserReuse:
+    """One parser serves every call in a process; no option of one call may
+    leak into the next."""
+
+    def test_options_do_not_leak_between_calls(self, capsys, write_file, singletons3):
+        path = write_file(singletons3)
+        assert len(run_ok(capsys, ["preimages", path, "--limit", "1"]).splitlines()) == 1
+        data = json.loads(run_ok(capsys, ["analyze", path, "--lambda", "--json"]))
+        assert data["lambda"] is not None
+        assert run_ok(capsys, ["verify", "--n", "2"]).startswith("universe size:")
+        assert json.loads(run_ok(capsys, ["analyze", path, "--json"]))["lambda"] is None
+        assert len(run_ok(capsys, ["preimages", path]).splitlines()) == 36
+        assert not run_ok(capsys, ["analyze", path]).startswith("{")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, fixed_non_partition):
         path = tmp_path / "c.json"

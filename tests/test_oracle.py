@@ -202,3 +202,39 @@ class TestPreimages:
                 image = cov(c)
                 assert c in preimages(image)
                 assert image in preimages(image)
+
+    # The down-set search against the independent route: enumerate every
+    # covering and group it by its image under the library's ``cov``.
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_filtered_enumeration(self, n):
+        coverings = list(enumerate_coverings(n))
+        for d in coverings:
+            assert preimages(d) == [c for c in coverings if cov(c) == d]
+
+    def test_fixed_points_partition_all_coverings_n4(self):
+        by_image: dict = {}
+        for c in enumerate_coverings(4):
+            by_image.setdefault(cov(c), []).append(c)
+        assert len(by_image) == FROZEN_CENSUS[4][4]
+        total = 0
+        for d, sources in by_image.items():
+            # sources are in enumeration order and hold no duplicates
+            assert preimages(d) == sources
+            total += len(sources)
+        assert total == FROZEN_CENSUS[4][0]
+
+    def test_limit_gives_a_prefix(self):
+        for n in (1, 2, 3):
+            for d in enumerate_coverings(n):
+                full = preimages(d)
+                for k in range(len(full) + 2):
+                    assert preimages(d, limit=k) == full[:k]
+        u = default_universe(4)
+        for d in (
+            make_covering(u, [["1"], ["2"], ["3"], ["4"]]),
+            make_covering(u, [["1"], ["1", "2"], ["1", "2", "3"], ["1", "2", "3", "4"]]),
+        ):
+            full = preimages(d)
+            for k in (0, 1, 2, 3, 17, len(full) - 1, len(full), len(full) + 1):
+                assert preimages(d, limit=k) == full[:k]
