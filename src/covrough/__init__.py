@@ -12,6 +12,7 @@ the same operations over JSON covering files.
 from .degrees import (
     CoreBlockAssignment,
     DegreeProfile,
+    blocks_containing,
     common_block_repeat_degree,
     core_block,
     core_block_assignment,
@@ -63,7 +64,6 @@ from .setsys import (
     Block,
     Covering,
     Universe,
-    blocks_containing,
     covering_from_dict,
     covering_from_json,
     covering_to_dict,

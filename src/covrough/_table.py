@@ -15,7 +15,7 @@ lies in one of them, that is, when S_x meets that set for every x in k.
 
 from __future__ import annotations
 
-from .setsys import Covering
+from .setsys import Block, Covering
 
 
 class BitTable:
@@ -75,6 +75,17 @@ class BitTable:
                 flags.append(hit)
             self._reducible = flags
         return self._reducible
+
+
+def pick(c: Covering, mask: int) -> list[Block]:
+    """The blocks of ``c`` at the set bits of a block-index mask, in
+    canonical order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(c.blocks[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def table(c: Covering) -> BitTable:

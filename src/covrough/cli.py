@@ -183,8 +183,8 @@ def run(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
-    except IsADirectoryError as exc:
-        print(f"error: not a file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)

@@ -4,13 +4,17 @@ The membership repeat degree of an element counts the blocks it belongs to;
 the common block repeat degree of a pair counts the blocks containing both.
 The core block of an element x, when it exists, is the unique block that
 contains x and equals the intersection of all blocks containing x.
+
+Every query here reads the covering's bit table (see ``_table``): the
+blocks containing x are its S_x, the degrees are bit counts of S_x and of
+S_x & S_y, and the core block is N(x) when N(x) is a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._table import table
+from ._table import pick, table
 from .setsys import Block, Covering
 
 
@@ -38,8 +42,7 @@ class CoreBlockAssignment:
 
 def membership_repeat_degree(c: Covering, x: str) -> int:
     """Number of blocks of ``c`` containing ``x``; at least 1."""
-    i = c.universe.index(x)
-    return sum(1 for b in c.blocks if b.bits >> i & 1)
+    return table(c).holders[c.universe.index(x)].bit_count()
 
 
 def common_block_repeat_degree(c: Covering, x: str, y: str) -> int:
@@ -47,8 +50,16 @@ def common_block_repeat_degree(c: Covering, x: str, y: str) -> int:
 
     May be 0; for ``x == y`` it equals the membership repeat degree.
     """
-    pair = 1 << c.universe.index(x) | 1 << c.universe.index(y)
-    return sum(1 for b in c.blocks if b.bits & pair == pair)
+    holders, index = table(c).holders, c.universe.index
+    return (holders[index(x)] & holders[index(y)]).bit_count()
+
+
+def blocks_containing(c: Covering, x: str) -> list[Block]:
+    """All blocks containing ``x``, in canonical order.
+
+    Never empty: a covering covers every element.
+    """
+    return pick(c, table(c).holders[c.universe.index(x)])
 
 
 def core_block(c: Covering, x: str) -> Block | None:
@@ -64,10 +75,7 @@ def core_block(c: Covering, x: str) -> Block | None:
 
 
 def core_block_assignment(c: Covering) -> CoreBlockAssignment:
-    per = {
-        x: Block(c.universe, inter) if c.has_bits(inter) else None
-        for x, inter in zip(c.universe.names, table(c).nbh)
-    }
+    per = {x: core_block(c, x) for x in c.universe.names}
     return CoreBlockAssignment(
         per_element=per,
         core_blocks=frozenset(b for b in per.values() if b is not None),

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from ._table import BitTable, table
+from ._table import pick, table
 from .errors import BlockNotInCovering
 from .setsys import Block, Covering
 
@@ -55,18 +55,6 @@ class InvariabilityVerdict:
         return self.invariable
 
 
-def _witness(c: Covering, t: BitTable, j: int) -> tuple[Block, ...]:
-    """All blocks of ``c`` that are proper subsets of its ``j``-th block,
-    in canonical order."""
-    subs = t.subsets(j)
-    out = []
-    while subs:
-        low = subs & -subs
-        out.append(c.blocks[low.bit_length() - 1])
-        subs ^= low
-    return tuple(out)
-
-
 def is_reducible_element(c: Covering, k: Block) -> tuple[Block, ...] | None:
     """Witness subfamily whose union is ``k``, or ``None`` if irreducible.
 
@@ -77,13 +65,13 @@ def is_reducible_element(c: Covering, k: Block) -> tuple[Block, ...] | None:
         raise BlockNotInCovering(f"block {k} is not in the covering")
     t = table(c)
     j = bisect_left(t.masks, k.bits)
-    return _witness(c, t, j) if t.reducible[j] else None
+    return tuple(pick(c, t.subsets(j))) if t.reducible[j] else None
 
 
 def reducibility_report(c: Covering) -> ReducibilityReport:
     t = table(c)
     per = {
-        b: _witness(c, t, j) if reducible else None
+        b: tuple(pick(c, t.subsets(j))) if reducible else None
         for j, (b, reducible) in enumerate(zip(c.blocks, t.reducible))
     }
     return ReducibilityReport(

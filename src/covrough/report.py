@@ -101,7 +101,7 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
         blocks=blocks,
         classification=classification,
         cov=nm.family,
-        cov_equals_covering=nm.family == c,
+        cov_equals_covering=classification.cov_fixed_point,
     )
 
 

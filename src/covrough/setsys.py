@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -146,11 +147,12 @@ class Covering:
     _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        blocks = tuple(sorted(self.blocks, key=lambda b: b.bits))
+        u = self.universe
+        blocks = tuple(sorted(self.blocks, key=attrgetter("bits")))
         union = 0
         seen: set[int] = set()
         for b in blocks:
-            if b.universe != self.universe:
+            if b.universe is not u and b.universe != u:
                 raise UnknownElement(
                     f"block {b} belongs to a different universe {b.universe}"
                 )
@@ -228,15 +230,6 @@ def is_partition(c: Covering) -> bool:
             return False
         union |= b.bits
     return True
-
-
-def blocks_containing(c: Covering, x: str) -> list[Block]:
-    """All blocks whose bit for ``x`` is set, in canonical order.
-
-    Never empty: a covering covers every element.
-    """
-    i = c.universe.index(x)
-    return [b for b in c.blocks if b.bits >> i & 1]
 
 
 # --- covering file format ---------------------------------------------------

@@ -8,8 +8,6 @@ paths, so agreement between the two is meaningful.
 from itertools import chain, combinations
 from math import comb
 
-from covrough import common_block_repeat_degree, membership_repeat_degree
-
 
 def powerset(items):
     s = list(items)
@@ -56,16 +54,26 @@ def covering_count_closed_form(n):
     )
 
 
+def membership_degree_scan(c, x):
+    """Membership repeat degree: the blocks that contain x, counted."""
+    return sum(1 for k in family_of(c) if x in k)
+
+
+def common_degree_scan(c, x, y):
+    """Common block repeat degree: the blocks that contain x and y, counted."""
+    return sum(1 for k in family_of(c) if x in k and y in k)
+
+
 def core_block_definitional(c, x):
     """Definitional core-block scan: every block containing x whose members
     all share the full set of x's blocks, measured through the degree
-    functions.  Asserts uniqueness and returns the block or None."""
-    deg = membership_repeat_degree(c, x)
+    scans above.  Asserts uniqueness and returns the block or None."""
+    deg = membership_degree_scan(c, x)
     hits = [
         b
         for b in c.blocks
-        if x in b
-        and all(common_block_repeat_degree(c, x, y) == deg for y in b.members())
+        if x in b.members()
+        and all(common_degree_scan(c, x, y) == deg for y in b.members())
     ]
     assert len(hits) <= 1, f"core block of {x!r} is not unique in {c}"
     return hits[0] if hits else None

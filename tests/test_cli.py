@@ -163,6 +163,15 @@ class TestErrorHandling:
         assert run(["cov", "/no/such/file.json"]) == 1
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name", ["x" * 300, "."], ids=["name-too-long", "directory"]
+    )
+    def test_unreadable_path(self, capsys, tmp_path, name):
+        assert run(["cov", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -14,7 +14,11 @@ from covrough import (
     non_core_blocks,
 )
 
-from .oracles import core_block_definitional
+from .oracles import (
+    common_degree_scan,
+    core_block_definitional,
+    membership_degree_scan,
+)
 from .strategies import coverings
 
 
@@ -122,11 +126,20 @@ class TestAssignmentAndProfile:
 
     @given(coverings(max_elements=5))
     def test_profile_matches_point_queries(self, c):
+        """The profile and the point queries read one bit table, so both
+        are checked against the reference's frozenset scans."""
         p = degree_profile(c)
         for x in c.universe:
-            assert p.membership[x] == membership_repeat_degree(c, x)
+            deg = membership_degree_scan(c, x)
+            assert p.membership[x] == membership_repeat_degree(c, x) == deg
             for y in c.universe:
-                assert p.common[x, y] == common_block_repeat_degree(c, x, y)
+                lam = common_degree_scan(c, x, y)
+                assert p.common[x, y] == common_block_repeat_degree(c, x, y) == lam
+
+    @given(coverings())
+    def test_blocks_containing_matches_scan(self, c):
+        for x in c.universe:
+            assert blocks_containing(c, x) == [b for b in c.blocks if x in b.members()]
 
 
 class TestExhaustiveSmallUniverses:

@@ -1,0 +1,61 @@
+"""The two reference routes stay independent of the library's code paths.
+
+``tests/oracles.py`` and the oracle's raw law checker are what the library
+is compared against, so neither may reach the operations they check.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+from covrough import oracle
+
+CHECKER = (
+    "_check_covering",
+    "_element_tables",
+    "_cov_masks",
+    "_reducible_flags",
+    "_reduct_masks",
+    "_no_union_ok",
+    "_core_scan",
+)
+
+
+def _names(code):
+    """Global and attribute names used by ``code`` and the code nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _names(const)
+    return names
+
+
+def _library_operations():
+    """Functions that ``oracle`` imports from the other covrough modules."""
+    return {
+        name
+        for name, value in vars(oracle).items()
+        if inspect.isfunction(value)
+        and value.__module__.startswith("covrough.")
+        and value.__module__ != oracle.__name__
+    }
+
+
+def test_reference_imports_nothing_from_covrough():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported, "expected the reference to import the stdlib"
+    assert not [m for m in imported if m.split(".")[0] == "covrough"]
+
+
+def test_law_checker_calls_no_library_operation():
+    library = _library_operations()
+    assert {"cov", "is_invariable", "is_partition"} <= library
+    for name in CHECKER:
+        used = _names(getattr(oracle, name).__code__) & library
+        assert not used, f"oracle.{name} uses {sorted(used)}"
