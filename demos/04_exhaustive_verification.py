@@ -24,12 +24,14 @@ for r in rows:
 # verify_laws re-derives every law (neighborhood nesting, degree bounds,
 # core-block uniqueness and minimality, reducibility interactions, the
 # invariability characterizations, idempotence of the neighborhoods
-# operator, ...) on every enumerated covering and reports violations.
+# operator, ...) and reports violations.  No law depends on the names of
+# the elements, so it checks one covering per relabelling orbit (34 of
+# them at n=3) and counts each once per covering in its orbit.
 summary = verify_laws(3)
 print("\nn=3 verification:", summary_to_dict(summary))
 assert not summary.violations
 
-# n=4 takes a couple of seconds and checks 32297 coverings.
+# n=4 checks 32297 coverings as 1952 orbits, in well under a second.
 summary = verify_laws(4)
 print(
     f"n=4 verification: {summary.total_coverings} coverings, "

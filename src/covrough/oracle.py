@@ -8,14 +8,30 @@ whose union is the whole universe are kept.  The order is deterministic
 (family mask ascending) and the same scheme is simple enough to
 re-implement independently, which the test suite does.
 
+Verification checks one covering per relabelling orbit.  Every law is a
+statement about neighborhoods, repeat degrees, core blocks and reducibility,
+none of which depends on the names of the elements, so each orbit's
+representative stands for the whole orbit and its results count once per
+member.  The representatives come from orderly generation (Read, "Every one
+a winner", 1978): a family mask is canonical when no relabelling maps it to
+a larger integer, and a depth-first walk that adds one subset below the
+lowest chosen one reaches each canonical mask exactly once.  There are 1, 4,
+34, 1952 and 18664632 of them for n = 1..5 (OEIS A055621), against 1, 5,
+109, 32297 and 2147321017 coverings (OEIS A003465).  On one core of an
+Intel Xeon (Python 3.11), ``verify_laws(4)`` takes about 0.13 s this way,
+where the labelled scan took about 2.0 s.
+
 The law checker works on raw bit vectors rather than on the public types;
 the public operations are exercised against it by the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import and_
+from itertools import permutations
+from math import factorial
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import UniverseTooLarge
@@ -24,7 +40,8 @@ from .reduction import is_invariable
 from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
 
 # Enumeration is capped where exhaustion stops being a desk-scale job:
-# n=5 already yields on the order of 2**31 candidate families.
+# n=5 already yields on the order of 2**31 candidate families, and even
+# their 18664632 orbits take an hour to verify.
 MAX_ENUMERATION_SIZE = 5
 MAX_VERIFY_SIZE = 4
 MAX_PREIMAGE_SIZE = 4
@@ -46,8 +63,10 @@ class CensusRow:
 class VerificationSummary:
     """Counts per classification flag plus every law violation found.
 
-    ``violations`` holds ``(covering, law-name)`` pairs and must be empty
-    on a passing run.
+    The counts are over all coverings.  ``violations`` holds one
+    ``(covering, law-name)`` pair per relabelling orbit that breaks the
+    law, with the orbit's representative as the covering, and must be
+    empty on a passing run.
     """
 
     universe_size: int
@@ -134,6 +153,61 @@ def _check_size(n: int) -> int:
             f"elements; got {n}"
         )
     return n
+
+
+# --- one covering per relabelling orbit -------------------------------------
+
+
+@functools.cache  # built on first use per n, never at import
+def _relabelling_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per family-mask bit j: the family-mask bit of the subset j + 1 under
+    every non-identity relabelling of the n elements, in one fixed order."""
+    relabellings = list(permutations(range(n)))[1:]  # the first is the identity
+    columns = []
+    for subset in range(1, 1 << n):
+        members = [x for x in range(n) if subset >> x & 1]
+        images = (sum(1 << p[x] for x in members) for p in relabellings)
+        columns.append(tuple(1 << (image - 1) for image in images))
+    return tuple(columns)
+
+
+def _orbit_representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One covering per relabelling orbit, with the size of its orbit.
+
+    Yields ``(masks, weight)``: ``masks`` is the ascending tuple of subset
+    bit vectors of the orbit's canonical family, the one whose family mask
+    is the largest integer in the orbit, and ``weight`` is n!/|Aut|.
+
+    Orderly generation: dropping the lowest bit of a canonical mask leaves
+    a canonical mask, so a depth-first walk that adds one bit below the
+    lowest chosen one and keeps only canonical children reaches every
+    canonical mask exactly once.  Each state carries the images of its
+    mask under every non-identity relabelling, so a child's images are its
+    parent's with one bit each added.  A child is canonical iff none of
+    its images exceeds it, and the images equal to it count Aut less the
+    identity.  A branch whose union cannot reach the whole universe with
+    the smaller subsets still to come is cut.
+    """
+    columns = _relabelling_columns(n)
+    full = (1 << n) - 1
+    order = factorial(n)
+    # (family mask, bits still allowed, chosen subsets, their union, images)
+    stack = [(0, full, (), 0, [0] * (order - 1))]
+    while stack:
+        family, low, masks, union, images = stack.pop()
+        for j in range(low):
+            # only subsets 1..j may follow; cut if they cannot finish the cover
+            covered = union | (j + 1)
+            if covered | ((1 << j.bit_length()) - 1) != full:
+                continue
+            child = family | 1 << j
+            child_images = list(map(or_, images, columns[j]))
+            if max(child_images, default=0) > child:
+                continue
+            child_masks = (j + 1,) + masks
+            if covered == full:
+                yield child_masks, order // (child_images.count(child) + 1)
+            stack.append((child, j, child_masks, covered, child_images))
 
 
 # --- raw bit-vector law checks ----------------------------------------------
@@ -400,27 +474,33 @@ def _check_covering(
 def verify_laws(n: int, allow_large: bool = False) -> VerificationSummary:
     """Check every law against every covering of an n-element universe.
 
-    Streams the enumeration, so memory stays flat.  n = 5 is refused
-    unless ``allow_large`` is set: the family space has about 2**31
-    members and the run takes a very long time.
+    Checks one representative per relabelling orbit and counts its flags
+    once per member of the orbit, so the totals are those of all coverings;
+    each law a representative breaks is reported once, for the orbit.
+    Streams the representatives, so memory stays flat.  n = 4 takes about
+    0.13 s (1952 representatives for 32297 coverings).  n = 5 is refused
+    unless ``allow_large`` is set: its 18664632 representatives take about
+    an hour on one core.
     """
     _check_size(n)
     if n > MAX_VERIFY_SIZE and not allow_large:
         raise UniverseTooLarge(
             f"full verification is capped at {MAX_VERIFY_SIZE} elements "
-            f"by default; pass allow_large=True to run n={n} anyway"
+            f"by default; n=5 has 18664632 coverings up to relabelling and "
+            f"takes about an hour on one core; pass allow_large=True to run "
+            f"it anyway"
         )
     universe = default_universe(n)
     blocks = _blocks_by_mask(universe)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
-    for masks in _mask_families(n):
+    for masks, weight in _orbit_representatives(n):
         p, irr, inv, fix, bad = _check_covering(n, masks)
-        total += 1
-        partitions += p
-        irreducible += irr
-        invariable += inv
-        fixed_points += fix
+        total += weight
+        partitions += p * weight
+        irreducible += irr * weight
+        invariable += inv * weight
+        fixed_points += fix * weight
         for law in bad:
             violations.append((_covering_from_masks(universe, blocks, masks), law))
     return VerificationSummary(

@@ -5,7 +5,8 @@ definitional scans.  Nothing here shares code with the package's bit-vector
 paths, so agreement between the two is meaningful.
 """
 
-from itertools import chain, combinations
+from functools import cache
+from itertools import chain, combinations, permutations
 from math import comb
 
 
@@ -77,3 +78,38 @@ def core_block_definitional(c, x):
     ]
     assert len(hits) <= 1, f"core block of {x!r} is not unique in {c}"
     return hits[0] if hits else None
+
+
+def family_of_masks(masks):
+    """A family given as subset bit vectors (bit i for element i), as a
+    frozenset of frozensets of element indices."""
+    return frozenset(
+        frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks
+    )
+
+
+def family_mask(fam):
+    """The integer whose bit v - 1 is set for every member whose bit vector
+    (bit i for element i) is v."""
+    return sum(map(_member_bit, fam))
+
+
+@cache  # the member sets repeat across families; this keeps n=5 cheap
+def _member_bit(k):
+    return 1 << (sum(1 << i for i in k) - 1)
+
+
+@cache  # one table per n, shared by every orbit
+def _relabelled_subsets(n):
+    """Per relabelling of range(n): every subset mapped to its image."""
+    subsets = [frozenset(k) for k in powerset(range(n))]
+    return [
+        {k: frozenset(p[i] for i in k) for k in subsets}
+        for p in permutations(range(n))
+    ]
+
+
+def orbit_bruteforce(fam, n):
+    """Every distinct image of a family of subsets of range(n) under the n!
+    relabellings of the elements."""
+    return {frozenset(map(image.__getitem__, fam)) for image in _relabelled_subsets(n)}

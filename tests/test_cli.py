@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from covrough import cov, covering_from_json, covering_to_dict, reduct
+from covrough import cov, covering_from_json, covering_to_dict, make_covering, reduct
 from covrough.cli import run
 
 
@@ -220,6 +220,26 @@ class TestParserReuse:
 
 
 class TestEntryPoint:
+    def test_closed_stdout_ends_quietly(self, tmp_path, u4):
+        # 19020 preimages, far more than a pipe buffers: the command is
+        # still writing when the reader goes away
+        discrete = make_covering(u4, [["1"], ["2"], ["3"], ["4"]])
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(covering_to_dict(discrete)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covrough", "preimages", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert covering_from_json(first) == discrete
+        assert err == ""
+
     def test_module_invocation(self, tmp_path, fixed_non_partition):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(covering_to_dict(fixed_non_partition)))

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from covrough import (
@@ -14,8 +16,16 @@ from covrough import (
     summary_to_dict,
     verify_laws,
 )
+from covrough import oracle
 
-from .oracles import covering_count_closed_form, coverings_bruteforce, family_of
+from .oracles import (
+    covering_count_closed_form,
+    coverings_bruteforce,
+    family_mask,
+    family_of,
+    family_of_masks,
+    orbit_bruteforce,
+)
 
 # Flag counts per universe size, frozen from the first verified oracle run
 # (cross-checked against the frozenset brute force in oracles.py):
@@ -71,8 +81,71 @@ class TestEnumerateCoverings:
             list(enumerate_coverings(6))
 
 
+# Coverings up to relabelling of the elements (OEIS A055621).
+ORBIT_COUNTS = {1: 1, 2: 4, 3: 34, 4: 1952}
+
+
+class TestOrbitRepresentatives:
+    """The orderly generator against brute-force orbits on frozensets.
+    Disjoint orbits whose sizes sum to the covering count cover every
+    covering, so every orbit is visited exactly once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_representative_per_orbit(self, n):
+        reps = list(oracle._orbit_representatives(n))
+        assert len(reps) == ORBIT_COUNTS[n]
+        seen = set()
+        for masks, weight in reps:
+            assert list(masks) == sorted(set(masks))
+            orbit = orbit_bruteforce(family_of_masks(masks), n)
+            assert weight == len(orbit)
+            assert seen.isdisjoint(orbit), f"{masks} relabels an earlier one"
+            seen |= orbit
+        assert sum(w for _, w in reps) == covering_count_closed_form(n)
+        assert len(seen) == covering_count_closed_form(n)
+
+    def test_first_shard_at_five(self):
+        # n=5 is too large to walk in a test: the first 2000
+        # representatives are checked one by one
+        for masks, weight in islice(oracle._orbit_representatives(5), 2000):
+            fam = family_of_masks(masks)
+            assert frozenset().union(*fam) == frozenset(range(5))
+            orbit = orbit_bruteforce(fam, 5)
+            assert family_mask(fam) == max(map(family_mask, orbit))
+            assert weight == len(orbit)
+            assert oracle._check_covering(5, masks)[4] == []
+
+
+def _labelled_scan(n):
+    """Every law on every labelled covering, the path verification took
+    before it checked one covering per orbit."""
+    totals = [0] * 5
+    violations = []
+    for masks in oracle._mask_families(n):
+        *flags, bad = oracle._check_covering(n, masks)
+        for i, v in enumerate((1, *flags)):
+            totals[i] += v
+        violations.extend((masks, law) for law in bad)
+    return tuple(totals), violations
+
+
+def _counts(s):
+    return (
+        s.total_coverings,
+        s.partitions,
+        s.irreducible,
+        s.invariable,
+        s.fixed_points,
+    )
+
+
+def _canonical(masks, n):
+    """The largest family mask in the orbit, by brute force."""
+    return max(map(family_mask, orbit_bruteforce(family_of_masks(masks), n)))
+
+
 class TestVerifyLaws:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_and_no_violations(self, n):
         s = verify_laws(n)
         assert s.violations == ()
@@ -84,6 +157,28 @@ class TestVerifyLaws:
             s.fixed_points,
         )
         assert got == FROZEN_CENSUS[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_labelled_scan(self, n):
+        totals, violations = _labelled_scan(n)
+        s = verify_laws(n)
+        assert _counts(s) == totals
+        assert s.violations == () and violations == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_violation_per_violating_orbit(self, monkeypatch, n):
+        monkeypatch.setattr(
+            oracle, "_reducible_flags", lambda masks: [False] * len(masks)
+        )
+        totals, labelled = _labelled_scan(n)
+        s = verify_laws(n)
+        assert _counts(s) == totals
+        got = [
+            (_canonical([b.bits for b in c.blocks], n), law)
+            for c, law in s.violations
+        ]
+        assert len(got) == len(set(got))
+        assert set(got) == {(_canonical(m, n), law) for m, law in labelled}
 
     def test_fixed_points_outnumber_partitions(self):
         s = verify_laws(3)
