@@ -11,6 +11,19 @@ proper subsets of block k are all blocks except k that contain no element
 outside k: everything but k, minus the union of S_x over the x outside k.
 Block k is the union of those blocks exactly when each of its elements
 lies in one of them, that is, when S_x meets that set for every x in k.
+
+The union of S_x over the elements outside a block is the inner step of
+that test.  With more than 8 elements it is read from per-chunk union
+tables, the "Four Russians" method (Arlazarov, Dinic, Kronrod and
+Faradzev, 1970): for each run of 8 elements, a table of up to 256 entries
+holds the union of S_x over every subset of the run, so the union for a
+block costs one lookup per 8 elements (8 at n=64, against one step per
+element outside the block).  The tables are built on first use, once per
+covering.  With at most 8 elements the test walks the elements outside
+the block one by one instead: a block there has at most 7 of them, and
+building the tables for every covering made the table pass over all
+coverings with n=3 40-55% slower, and with n=4 about 20% slower (best of
+7 runs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -22,11 +35,11 @@ class BitTable:
     """Neighborhoods and containing-block sets of one family of blocks.
 
     ``masks`` are the block bit vectors in canonical order, ``nbh[x]`` is
-    N(x) and ``holders[x]`` is S_x.  ``reducible`` is computed on first
-    use.
+    N(x) and ``holders[x]`` is S_x.  ``reducible`` and, above 8 elements,
+    the per-chunk union tables are computed on first use.
     """
 
-    __slots__ = ("n", "masks", "nbh", "holders", "_reducible")
+    __slots__ = ("n", "masks", "nbh", "holders", "_reducible", "_unions")
 
     def __init__(self, n: int, masks: list[int]) -> None:
         nbh = [-1] * n
@@ -45,17 +58,38 @@ class BitTable:
         self.nbh = nbh
         self.holders = holders
         self._reducible: list[bool] | None = None
+        self._unions: list[list[int]] | None = None
+
+    def _chunk_unions(self) -> list[list[int]]:
+        """Per run of 8 elements, the union of S_x over each subset of
+        the run, indexed by the subset's bits within the run."""
+        if self._unions is None:
+            unions = []
+            for start in range(0, self.n, 8):
+                chunk = self.holders[start : start + 8]
+                entries = [0] * (1 << len(chunk))
+                for s in range(1, len(entries)):
+                    low = s & -s
+                    entries[s] = entries[s ^ low] | chunk[low.bit_length() - 1]
+                unions.append(entries)
+            self._unions = unions
+        return self._unions
 
     def subsets(self, j: int) -> int:
         """Block-index mask of the blocks that are proper subsets of
         block ``j``."""
-        holders = self.holders
         union = 1 << j
         outside = ~self.masks[j] & ((1 << self.n) - 1)
-        while outside:
-            low = outside & -outside
-            union |= holders[low.bit_length() - 1]
-            outside ^= low
+        if self.n > 8:
+            for entries in self._chunk_unions():
+                union |= entries[outside & 255]
+                outside >>= 8
+        else:
+            holders = self.holders
+            while outside:
+                low = outside & -outside
+                union |= holders[low.bit_length() - 1]
+                outside ^= low
         return ((1 << len(self.masks)) - 1) ^ union
 
     @property

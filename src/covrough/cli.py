@@ -162,7 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="exhaustively verify all structural laws for universe size N"
     )
     sub.add_argument(
-        "--n", type=_at_least(1), required=True, help="universe size (1..4)"
+        "--n",
+        type=_at_least(1),
+        required=True,
+        help="universe size (1..4; 5 with --allow-large)",
     )
     sub.add_argument(
         "--allow-large",

@@ -112,10 +112,16 @@ class Block:
             )
 
     def members(self) -> tuple[str, ...]:
-        """Element labels of this block, in universe order."""
-        return tuple(
-            name for i, name in enumerate(self.universe.names) if self.bits >> i & 1
-        )
+        """Element labels of this block, in universe order: its set bits,
+        lowest first."""
+        names = self.universe.names
+        out = []
+        rest = self.bits
+        while rest:
+            low = rest & -rest
+            out.append(names[low.bit_length() - 1])
+            rest ^= low
+        return tuple(out)
 
     def issubset(self, other: "Block") -> bool:
         return self.bits & ~other.bits == 0

@@ -28,3 +28,49 @@ def coverings(draw, min_elements=1, max_elements=6, max_blocks=12):
         missing ^= low
     universe = Universe(tuple(f"x{i}" for i in range(1, n + 1)))
     return Covering(universe, tuple(Block(universe, m) for m in sorted(masks)))
+
+
+# The bit table reads the elements in runs of 8 (see covrough._table);
+# each pair sits on both sides of a boundary between two runs.
+_STRADDLES = ((7, 8), (15, 16), (55, 56))
+
+
+def _mask(elements):
+    return sum(1 << x for x in elements)
+
+
+@st.composite
+def planted_coverings(draw, max_blocks=24, max_unions=8):
+    """Random covering of 9 to 64 elements in which some blocks are unions
+    of others.
+
+    Small random blocks come first, then one block across each run
+    boundary that the universe reaches and one holding the last element
+    (63 when n = 64), then one block of the elements still uncovered.
+    Unions of two or three of these blocks are planted on top; some of
+    them get one more element, so that a block can have proper subsets
+    without being their union."""
+    n = draw(st.sampled_from((9, 17, 57, 64)) | st.integers(9, 64))
+    element = st.integers(0, n - 1)
+    small = st.frozensets(element, min_size=1, max_size=6)
+    drawn = draw(st.lists(small, min_size=1, max_size=max_blocks))
+    masks = {_mask(b) for b in drawn}
+    ends = [(a, b) for a, b in _STRADDLES if b < n] + [(n - 2, n - 1)]
+    for a, b in ends:
+        near = st.frozensets(st.integers(max(a - 2, 0), min(b + 2, n - 1)))
+        masks.add(_mask(draw(near) | {a, b}))
+    union = 0
+    for m in masks:
+        union |= m
+    if union != (1 << n) - 1:
+        masks.add(((1 << n) - 1) & ~union)
+    parts = sorted(masks)
+    for _ in range(draw(st.integers(1, max_unions))):
+        planted = 0
+        for m in draw(st.lists(st.sampled_from(parts), min_size=2, max_size=3)):
+            planted |= m
+        if draw(st.booleans()):
+            planted |= 1 << draw(element)
+        masks.add(planted)
+    universe = Universe(tuple(f"x{i}" for i in range(1, n + 1)))
+    return Covering(universe, tuple(Block(universe, m) for m in sorted(masks)))

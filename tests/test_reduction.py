@@ -14,10 +14,10 @@ from covrough import (
     reduct,
 )
 from covrough._table import BitTable, table
-from covrough.oracle import _mask_families, _reducible_flags
+from covrough.oracle import _mask_families, _reduct_masks, _reducible_flags
 
 from .oracles import family_of, is_union_of_others
-from .strategies import coverings
+from .strategies import coverings, planted_coverings
 
 
 class TestIsReducibleElement:
@@ -70,6 +70,30 @@ class TestBitParallelFlags:
     def test_match_oracle_random(self, c):
         masks = tuple(b.bits for b in c.blocks)
         assert table(c).reducible == _reducible_flags(masks)
+
+    @settings(max_examples=200)
+    @given(planted_coverings())
+    def test_union_tables_match_oracle(self, c):
+        """Above 8 elements the subset test reads the per-chunk union
+        tables: flags, witnesses and the reduct against direct scans."""
+        masks = tuple(b.bits for b in c.blocks)
+        flags = _reducible_flags(masks)
+        assert table(c).reducible == flags
+        report = reducibility_report(c).per_block
+        for b, reducible in zip(c.blocks, flags):
+            subs = tuple(m for m in c.blocks if m != b and m.bits & ~b.bits == 0)
+            expected = subs if reducible else None
+            assert report[b] == expected
+            assert is_reducible_element(c, b) == expected
+        assert tuple(b.bits for b in reduct(c).blocks) == _reduct_masks(masks)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_union_tables_only_above_8_elements(self, n):
+        """Up to 8 elements the subset test walks the elements outside the
+        block and builds no union tables."""
+        t = BitTable(n, [1 << x for x in range(n)] + [(1 << n) - 1])
+        assert t.reducible == [False] * n + [True]
+        assert (t._unions is not None) == (n > 8)
 
 
 class TestReducibilityReport:

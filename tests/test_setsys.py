@@ -61,11 +61,20 @@ class TestUniverse:
 
 class TestBlock:
     def test_members_in_universe_order(self, u3):
-        b = u3.block(["2", "1"])
-        assert b.members() == ("1", "2")
-        assert "1" in b and "3" not in b
-        assert len(b) == 2
-        assert str(b) == "{1, 2}"
+        # The 64-element block has members at indices 0, 7, 8 and 63: both
+        # ends of the word and both sides of a byte boundary.  Its labels
+        # sort differently as strings than in universe order.
+        u64 = Universe(tuple(str(i) for i in range(1, 65)))
+        cases = [
+            (u3.block(["2", "1"]), ("1", "2"), "3", "{1, 2}"),
+            (u64.block(["64", "9", "1", "8"]), ("1", "8", "9", "64"), "2",
+             "{1, 8, 9, 64}"),
+        ]
+        for b, members, absent, text in cases:
+            assert b.members() == members
+            assert members[0] in b and absent not in b
+            assert len(b) == len(members)
+            assert str(b) == text
 
     def test_empty_rejected(self, u3):
         with pytest.raises(EmptyBlock):
