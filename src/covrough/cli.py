@@ -30,7 +30,7 @@ from .errors import CoveringError
 from .neighborhoods import cov, is_cov_fixed_point, quick_reject_neighborhoods
 from .oracle import preimages, summary_to_dict, verify_laws
 from .reduction import reduct
-from .report import analyze, render_report, report_to_dict
+from .report import analyze, render_report, report_to_json
 from .setsys import Covering, covering_to_json, read_covering
 
 
@@ -42,7 +42,7 @@ def _cmd_cov(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(args.covering, include_lambda=args.lambda_matrix)
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(report_to_json(report))
     else:
         print(render_report(report), end="")
     return 0

@@ -1,11 +1,21 @@
 """Full analysis of one covering: degree and neighborhood tables, core
 block assignment, reducibility witnesses, and the classification verdicts.
 Used by the command-line front end; the JSON form mirrors the report
-fields one to one."""
+fields one to one.
+
+``report_to_dict`` is the one JSON schema.  ``report_to_json`` writes it
+as text, byte for byte what ``json.dumps`` writes for that dict with
+``indent=2``: a two-space indent and ``\\uXXXX`` escapes for non-ASCII.
+It has its own small emitter because any ``indent`` makes ``json.dumps``
+fall back to its pure-Python encoder, which made the text the largest
+part of ``analyze --json`` on 64-element coverings.  The emitter knows
+only the types ``report_to_dict`` produces.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .degrees import core_block_assignment, degree_profile
 from .neighborhoods import neighborhood_map
@@ -107,15 +117,22 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
 
 def report_to_dict(r: AnalysisReport) -> dict:
     """JSON form of the report; schema documented in the README."""
+    covering = covering_to_dict(r.covering)
+    cov = covering_to_dict(r.cov)
+    # Every block in the report is a block of the covering (rows, core
+    # blocks, witnesses) or of Cov (neighborhoods): reuse the member lists
+    # computed for those two, copied so that no two parts share a list.
+    labels = dict(zip([b.bits for b in r.covering.blocks], covering["blocks"]))
+    labels.update(zip([b.bits for b in r.cov.blocks], cov["blocks"]))
     return {
-        "covering": covering_to_dict(r.covering),
+        "covering": covering,
         "elements": [
             {
                 "element": e.element,
                 "membership_degree": e.membership_degree,
-                "neighborhood": list(e.neighborhood.members()),
+                "neighborhood": list(labels[e.neighborhood.bits]),
                 "core_block": (
-                    list(e.core_block.members()) if e.core_block else None
+                    list(labels[e.core_block.bits]) if e.core_block else None
                 ),
             }
             for e in r.elements
@@ -130,13 +147,13 @@ def report_to_dict(r: AnalysisReport) -> dict:
         ),
         "blocks": [
             {
-                "block": list(b.block.members()),
+                "block": list(labels[b.block.bits]),
                 "core_block_of": list(b.core_block_of),
                 "reducible": b.witness is not None,
                 "witness": (
                     None
                     if b.witness is None
-                    else [list(w.members()) for w in b.witness]
+                    else [list(labels[w.bits]) for w in b.witness]
                 ),
             }
             for b in r.blocks
@@ -147,9 +164,56 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "invariable": r.classification.invariable,
             "cov_fixed_point": r.classification.cov_fixed_point,
         },
-        "cov": covering_to_dict(r.cov),
+        "cov": cov,
         "cov_equals_covering": r.cov_equals_covering,
     }
+
+
+def report_to_json(r: AnalysisReport) -> str:
+    """The text ``json.dumps`` writes for ``report_to_dict(r)`` with
+    ``indent=2``, byte for byte."""
+    return _indented(report_to_dict(r), "\n")
+
+
+def _indented(obj: object, pad: str) -> str:
+    """``obj`` as ``json.dumps`` with ``indent=2`` writes it at the nesting
+    level whose line break and indent are ``pad``.  Accepts dicts with
+    ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``; anything
+    else raises ``TypeError``."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(_quote, obj)
+        elif kinds == {int}:  # a bool makes kinds {int, bool}
+            items = map(int.__repr__, obj)
+        else:
+            items = [_indented(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(_quote(key) + ": " + _indented(value, inner))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:

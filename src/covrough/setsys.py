@@ -43,6 +43,7 @@ class Universe:
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(self.names)
@@ -59,6 +60,17 @@ class Universe:
             )
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        # The value the dataclass would compute, once: every Block hash
+        # includes it, and rehashing 64 labels each time was measurable.
+        object.__setattr__(self, "_hash", hash((names,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the labels: a string hash, and so the cached one,
+        # differs between processes.
+        return type(self), (self.names,)
 
     @property
     def size(self) -> int:
@@ -279,7 +291,9 @@ def covering_from_json(text: str) -> Covering:
 
 
 def read_covering(path: str) -> Covering:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that some Windows editors write
+    # (RFC 8259 section 8.1 lets a parser ignore it).
+    with open(path, encoding="utf-8-sig") as fh:
         return covering_from_dict(json.load(fh))
 
 

@@ -4,7 +4,17 @@ import sys
 
 import pytest
 
-from covrough import cov, covering_from_json, covering_to_dict, make_covering, reduct
+from covrough import (
+    Universe,
+    analyze,
+    cov,
+    covering_from_json,
+    covering_to_dict,
+    make_covering,
+    read_covering,
+    reduct,
+    report_to_dict,
+)
 from covrough.cli import run
 
 
@@ -75,6 +85,18 @@ class TestAnalyzeCommand:
     def test_json_round_trips_covering(self, capsys, write_file, nested_with_tail):
         data = json.loads(run_ok(capsys, ["analyze", write_file(nested_with_tail), "--json"]))
         assert covering_from_json(json.dumps(data["covering"])) == nested_with_tail
+
+    def test_json_is_json_dumps_with_indent_2(self, capsys, write_file):
+        # Labels that need escapes: a quote, a backslash, non-ASCII, a
+        # character outside the basic plane.
+        u = Universe(('a"', "b\\", "\xe9", "\U0001f600", "e"))
+        c = make_covering(
+            u, [['a"', "b\\"], ["b\\", "\xe9"], ["\xe9"], ["\U0001f600", "e"], ["e"]]
+        )
+        path = write_file(c)
+        out = run_ok(capsys, ["analyze", "--lambda", "--json", path])
+        r = analyze(read_covering(path), include_lambda=True)
+        assert out == json.dumps(report_to_dict(r), indent=2) + "\n"
 
 
 class TestCheckNeighborhoodsCommand:
@@ -171,6 +193,14 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
         assert len(err.splitlines()) == 1
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, fixed_non_partition):
+        # Notepad and PowerShell's Out-File start UTF-8 files with a BOM.
+        path = tmp_path / "bom.json"
+        text = json.dumps(covering_to_dict(fixed_non_partition))
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        out = run_ok(capsys, ["cov", str(path)])
+        assert covering_from_json(out) == fixed_non_partition
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,13 @@
+import json
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 from covrough import analyze, enumerate_coverings, render_report, report_to_dict
+from covrough.report import _indented, report_to_json
+
+from .strategies import planted_coverings
 
 
 class TestAnalyze:
@@ -94,3 +103,89 @@ class TestRender:
         assert "| -" in text  # the shared element has no core block
         text = render_report(analyze(triangle))
         assert "none" in text  # no block here is anybody's core block
+
+
+# Characters whose JSON escapes differ: quotes, backslash, control
+# characters, DEL, non-ASCII, both halves of a surrogate pair alone, and
+# one character outside the basic plane.
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\xe9", "\u2028",
+     "\ud800", "\udfff", "\U0001f600"]
+)
+_TEXT = st.text(_AWKWARD | st.characters(), max_size=8)
+_SCALARS = st.none() | st.booleans() | st.integers() | _TEXT
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=40,
+)
+
+
+def _as_indent_2(obj):
+    return json.dumps(obj, indent=2)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, True, 2, False],
+            [True, False],
+            [1, None, "a", True],
+            [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+            {"a": [], "b": {}, "c": [1, []], "d": {"e": {}, "f": "g"}},
+            [[1, 2], ["x", "y"], [[3]]],
+            ["\xe9", '"', "\\", "\x00", "\ud800", "\U0001f600"],
+            {"\xe9\ud800\n": ["\udfff"]},
+            [],
+            {},
+            -0,
+            "",
+        ],
+    )
+    def test_edge_cases_match_json_dumps(self, obj):
+        assert _indented(obj, "\n") == _as_indent_2(obj)
+
+    @given(_TREES)
+    def test_trees_match_json_dumps(self, obj):
+        assert _indented(obj, "\n") == _as_indent_2(obj)
+
+    @given(st.lists(_SCALARS, min_size=1, max_size=8))
+    def test_mixed_scalar_lists_match_json_dumps(self, items):
+        assert _indented(items, "\n") == _as_indent_2(items)
+
+    @pytest.mark.parametrize(
+        "obj", [1.5, (1, 2), {1: "a"}, {None: 1}, [1, 2.0], {"a": (1,)}, {"a"}]
+    )
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _indented(obj, "\n")
+
+    @pytest.mark.parametrize("include_lambda", [False, True])
+    def test_every_small_report_matches_json_dumps(self, include_lambda):
+        for n in (1, 2, 3):
+            for c in enumerate_coverings(n):
+                r = analyze(c, include_lambda=include_lambda)
+                assert report_to_json(r) == _as_indent_2(report_to_dict(r))
+
+    @settings(max_examples=50, deadline=None)
+    @given(planted_coverings(), st.booleans())
+    def test_planted_reports_match_json_dumps(self, c, include_lambda):
+        r = analyze(c, include_lambda=include_lambda)
+        assert report_to_json(r) == _as_indent_2(report_to_dict(r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_coverings())
+    def test_no_two_parts_share_a_list(self, c):
+        seen = []
+
+        def walk(obj):
+            if type(obj) is list:
+                seen.append(id(obj))
+            for child in obj.values() if type(obj) is dict else obj:
+                if type(child) in (list, dict):
+                    walk(child)
+
+        walk(report_to_dict(analyze(c, include_lambda=True)))
+        assert len(seen) == len(set(seen))

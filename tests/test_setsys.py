@@ -1,9 +1,14 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 
+import covrough
 from covrough import (
     Block,
     Covering,
@@ -57,6 +62,38 @@ class TestUniverse:
     def test_unknown_element(self, u3):
         with pytest.raises(UnknownElement):
             u3.index("7")
+
+    def test_hash_is_the_dataclass_value(self):
+        names = tuple(f"e{i}" for i in range(64))
+        u, v = Universe(names), Universe(tuple(list(names)))
+        assert u is not v and u == v
+        assert hash(u) == hash(v) == hash((u.names,))
+        a, b = Block(u, 0b1011), Block(v, 0b1011)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_hash_survives_pickling_into_another_process(self):
+        # String hashes differ between processes; the unpickled universe
+        # must hash as one built there.
+        u = Universe(("a", "b", "c"))
+        script = (
+            "import pickle, sys; "
+            "u = pickle.loads(sys.stdin.buffer.read()); "
+            "print(hash(u) == hash((u.names,)), u.index('c'))"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "random"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(covrough.__file__)), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(u),
+            capture_output=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.split() == [b"True", b"2"]
 
 
 class TestBlock:
