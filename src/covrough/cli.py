@@ -12,10 +12,11 @@ Subcommands::
 Coverings are read from JSON files ({"universe": [...], "blocks": [[...]]}).
 Results go to stdout, errors to stderr.  Exit codes: 0 success, 1 bad input
 or failed verification, 2 usage error.  A negative ``--limit`` and a
-``--n`` below 1 are usage errors; ``--n`` above 4 without ``--allow-large``,
-or above 5, is refused with exit code 1.  When the reader of stdout closes
-it early (``covrough preimages FILE | head -1``), the command stops without
-a message and exits 1.
+``--n`` below 1 are usage errors; ``--n`` above 5 is refused with exit code
+1.  ``verify --n 5`` takes about an hour and writes a progress line to
+stderr about every 10 s; shorter runs write none.  When the reader of
+stdout closes it early (``covrough preimages FILE | head -1``), the command
+stops without a message and exits 1.
 """
 
 from __future__ import annotations
@@ -87,7 +88,22 @@ def _render_summary(summary) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = verify_laws(args.n, allow_large=args.allow_large)
+    # The oracle logs its progress on long runs; show it, one line per
+    # record, on this command's stderr only.  Imported here, like the
+    # oracle's own import, so that the other commands start without it.
+    import logging
+
+    log = logging.getLogger("covrough.oracle")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        summary = verify_laws(args.n)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     if args.json:
         print(json.dumps(summary_to_dict(summary)))
     else:
@@ -165,13 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_at_least(1),
         required=True,
-        help="universe size (1..4; 5 with --allow-large)",
-    )
-    sub.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit n=5 (18664632 coverings up to relabelling; about an "
-        "hour on one core, with no output until the end)",
+        help="universe size, 1..5 (5 takes about an hour)",
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=_cmd_verify)
@@ -189,10 +199,7 @@ def run(argv: list[str]) -> int:
         if "file" in args:
             args.covering = _read_input(args.file)
         return args.func(args)
-    except CoveringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CoveringError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -166,18 +166,23 @@ class Covering:
 
     def __post_init__(self) -> None:
         u = self.universe
-        blocks = tuple(sorted(self.blocks, key=attrgetter("bits")))
+        given = tuple(self.blocks)
         union = 0
         seen: set[int] = set()
-        for b in blocks:
+        for b in given:
             if b.universe is not u and b.universe != u:
                 raise UnknownElement(
                     f"block {b} belongs to a different universe {b.universe}"
                 )
-            if b.bits in seen:
-                raise DuplicateBlock(f"block {b} appears twice")
             seen.add(b.bits)
             union |= b.bits
+        if len(seen) != len(given):
+            # name the first repeat by its positions in the argument
+            first: dict[int, int] = {}
+            for i, b in enumerate(given):
+                j = first.setdefault(b.bits, i)
+                if j != i:
+                    raise DuplicateBlock(f"blocks #{j} and #{i} are identical")
         if union != self.universe.full_bits:
             missing = [
                 name
@@ -187,7 +192,7 @@ class Covering:
             raise NotACover(
                 "union of blocks misses element(s): " + ", ".join(missing)
             )
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
         object.__setattr__(self, "_bitset", frozenset(seen))
 
     def __len__(self) -> int:
@@ -221,7 +226,6 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
     """
     index = universe._index
     blocks: list[Block] = []
-    seen: dict[int, int] = {}
     for i, labels in enumerate(subsets):
         bits = 0
         for label in labels:
@@ -233,9 +237,6 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
                 ) from None
         if bits == 0:
             raise EmptyBlock(f"block #{i} is empty")
-        if bits in seen:
-            raise DuplicateBlock(f"blocks #{seen[bits]} and #{i} are identical")
-        seen[bits] = i
         blocks.append(Block(universe, bits))
     return Covering(universe, tuple(blocks))
 

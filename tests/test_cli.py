@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -156,9 +157,11 @@ class TestVerifyCommand:
         assert "coverings checked:  1" in out
         assert "violations:         0" in out
 
-    def test_refuses_huge_universe(self, capsys):
-        assert run(["verify", "--n", "5"]) == 1
-        assert "allow_large" in capsys.readouterr().err
+    def test_n_five_runs(self, capsys, five_shard):
+        data = json.loads(run_ok(capsys, ["verify", "--n", "5", "--json"]))
+        assert data["n"] == 5
+        assert data["total"] == five_shard
+        assert data["violations"] == []
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_n_below_one_is_usage_error(self, capsys, n):
@@ -166,8 +169,27 @@ class TestVerifyCommand:
         assert "--n" in capsys.readouterr().err
 
     def test_n_above_five_is_refused(self, capsys):
-        assert run(["verify", "--n", "6", "--allow-large"]) == 1
+        assert run(["verify", "--n", "6"]) == 1
         assert "capped at 5" in capsys.readouterr().err
+
+    def test_progress_goes_to_stderr_once_per_record(self, capsys, monkeypatch):
+        from covrough import oracle
+
+        assert run(["verify", "--n", "4"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        # with no interval, n=4 logs one record, at 1024 of 1952 orbits;
+        # repeated runs in one process must not stack up handlers
+        monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 0.0)
+        for _ in range(3):
+            assert run(["verify", "--n", "4"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == quiet.out
+            assert captured.err.startswith("verify n=4: 1024/1952 orbits, ")
+            assert captured.err.count("\n") == 1
+        log = logging.getLogger("covrough.oracle")
+        assert log.handlers == []
+        assert log.level == logging.NOTSET
 
     def test_exit_one_when_laws_fail(self, capsys, monkeypatch):
         from covrough import oracle

@@ -1,3 +1,6 @@
+import logging
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -104,6 +107,9 @@ class TestOrbitRepresentatives:
         assert sum(w for _, w in reps) == covering_count_closed_form(n)
         assert len(seen) == covering_count_closed_form(n)
 
+    def test_library_table_of_orbit_counts(self):
+        assert {n: oracle._ORBIT_COUNTS[n] for n in ORBIT_COUNTS} == ORBIT_COUNTS
+
     def test_first_shard_at_five(self):
         # n=5 is too large to walk in a test: the first 2000
         # representatives are checked one by one
@@ -196,11 +202,46 @@ class TestVerifyLaws:
             "violations": [],
         }
 
-    def test_large_universe_needs_flag(self):
-        with pytest.raises(UniverseTooLarge):
-            verify_laws(5)
-        with pytest.raises(UniverseTooLarge):
-            verify_laws(6, allow_large=True)
+    def test_five_is_verified(self, five_shard):
+        s = verify_laws(5)
+        assert s.universe_size == 5
+        assert s.total_coverings == five_shard
+        assert s.violations == ()
+
+    def test_six_is_refused(self):
+        with pytest.raises(UniverseTooLarge, match="capped at 5"):
+            verify_laws(6)
+
+    def test_progress_is_logged(self, monkeypatch, caplog):
+        # with no interval, the clock is read and a record logged once per
+        # 1024 representatives: once in the 1952 at n=4
+        monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 0.0)
+        with caplog.at_level(logging.INFO, logger="covrough.oracle"):
+            verify_laws(4)
+        assert len(caplog.records) == 1
+        record = caplog.records[0]
+        assert record.name == "covrough.oracle"
+        assert record.levelno == logging.INFO
+        assert record.getMessage().startswith("verify n=4: 1024/1952 orbits, ")
+
+    def test_progress_is_silent_without_logging_configuration(self):
+        # INFO records reach no handler by default, so a library caller
+        # that configures nothing sees nothing
+        script = (
+            "from covrough import oracle; "
+            "oracle._PROGRESS_INTERVAL_S = 0.0; "
+            "print(oracle.verify_laws(4).total_coverings)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "32297\n"
+        assert done.stderr == ""
+
 
     def test_broken_law_is_reported(self, monkeypatch):
         # sabotage reducibility detection and make sure the harness notices:

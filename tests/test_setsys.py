@@ -168,7 +168,7 @@ class TestMakeCovering:
             Covering(u3, (Block(other, 0b111),))
 
     def test_direct_constructor_rejects_duplicates(self, u3):
-        with pytest.raises(DuplicateBlock):
+        with pytest.raises(DuplicateBlock, match="#0 and #1"):
             Covering(u3, (Block(u3, 0b111), Block(u3, 0b111)))
 
 
