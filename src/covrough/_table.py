@@ -6,6 +6,11 @@ N(x), the intersection of the blocks containing x, as an element mask,
 and S_x, the blocks containing x, as a mask over block indices (bit j
 stands for the covering's j-th block in canonical order).
 
+Element x has a core block exactly when N(x) is itself a block, and the
+core block is then N(x).  The table holds that rule once, as one flag per
+element next to the per-block reducibility flags; core blocks and the
+invariability test both read it.
+
 Reducibility is bit-parallel over block indices.  The blocks that are
 proper subsets of block k are all blocks except k that contain no element
 outside k: everything but k, minus the union of S_x over the x outside k.
@@ -35,11 +40,12 @@ class BitTable:
     """Neighborhoods and containing-block sets of one family of blocks.
 
     ``masks`` are the block bit vectors in canonical order, ``nbh[x]`` is
-    N(x) and ``holders[x]`` is S_x.  ``reducible`` and, above 8 elements,
-    the per-chunk union tables are computed on first use.
+    N(x) and ``holders[x]`` is S_x.  The per-block ``reducible`` flags,
+    the per-element ``cored`` flags and, above 8 elements, the per-chunk
+    union tables are computed on first use.
     """
 
-    __slots__ = ("n", "masks", "nbh", "holders", "_reducible", "_unions")
+    __slots__ = ("n", "masks", "nbh", "holders", "_reducible", "_cored", "_unions")
 
     def __init__(self, n: int, masks: list[int]) -> None:
         nbh = [-1] * n
@@ -58,6 +64,7 @@ class BitTable:
         self.nbh = nbh
         self.holders = holders
         self._reducible: list[bool] | None = None
+        self._cored: list[bool] | None = None
         self._unions: list[list[int]] | None = None
 
     def _chunk_unions(self) -> list[list[int]]:
@@ -109,6 +116,15 @@ class BitTable:
                 flags.append(hit)
             self._reducible = flags
         return self._reducible
+
+    @property
+    def cored(self) -> list[bool]:
+        """Per element x: does x have a core block, that is, is N(x) a
+        block."""
+        if self._cored is None:
+            blocks = set(self.masks)
+            self._cored = [m in blocks for m in self.nbh]
+        return self._cored
 
 
 def pick(c: Covering, mask: int) -> list[Block]:

@@ -7,7 +7,8 @@ contains x and equals the intersection of all blocks containing x.
 
 Every query here reads the covering's bit table (see ``_table``): the
 blocks containing x are its S_x, the degrees are bit counts of S_x and of
-S_x & S_y, and the core block is N(x) when N(x) is a block.
+S_x & S_y, and the core block is N(x) when the table's per-element flag
+says that N(x) is a block, the same flag the invariability test reads.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def core_block(c: Covering, x: str) -> Block | None:
     the defining condition (x in K and every y in K shares all of x's
     blocks); the test suite compares both routes.
     """
-    inter = table(c).nbh[c.universe.index(x)]
-    return Block(c.universe, inter) if c.has_bits(inter) else None
+    t, i = table(c), c.universe.index(x)
+    return Block(c.universe, t.nbh[i]) if t.cored[i] else None
 
 
 def core_block_assignment(c: Covering) -> CoreBlockAssignment:

@@ -55,8 +55,10 @@ def cov(c: Covering) -> Covering:
 
 def is_cov_fixed_point(c: Covering) -> bool:
     """True iff the neighborhoods of ``c`` equal ``c`` itself, i.e. iff
-    ``c`` arises as the neighborhoods of some covering."""
-    return cov(c) == c
+    ``c`` arises as the neighborhoods of some covering.  Compares the bit
+    vectors in canonical order rather than building ``cov(c)``."""
+    t = table(c)
+    return sorted(set(t.nbh)) == t.masks
 
 
 def quick_reject_neighborhoods(c: Covering) -> RejectReason | None:

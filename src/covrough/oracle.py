@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 from ._table import table
 from .errors import UniverseTooLarge
-from .neighborhoods import cov
+from .neighborhoods import cov, is_cov_fixed_point
 from .reduction import is_invariable
 from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
 
@@ -493,20 +493,24 @@ def verify_laws(n: int) -> VerificationSummary:
 
     About every 10 s of wall time, a run logs one INFO record to the
     ``covrough.oracle`` logger with the representatives done out of the
-    total, the rate and an estimate of the time left, so only runs that
-    last that long report anything.  The records reach a caller only
-    through its own logging configuration.
+    total, the rate since the previous record and the time left at that
+    rate, so only runs that last that long report anything.  The records
+    reach a caller only through its own logging configuration.
     """
     _check_size(n)
     universe = default_universe(n)
     blocks = _blocks_by_mask(universe)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
-    start = time.perf_counter()
-    next_report = start + _PROGRESS_INTERVAL_S
+    # the representatives done and the clock at the last progress record
+    last_done, last_time = 0, time.perf_counter()
     for done, (masks, weight) in enumerate(_orbit_representatives(n), 1):
-        if not done % _PROGRESS_STRIDE and time.perf_counter() >= next_report:
-            next_report = _report_progress(n, done, start)
+        if not done % _PROGRESS_STRIDE:
+            now = time.perf_counter()
+            if now >= last_time + _PROGRESS_INTERVAL_S:
+                rate = (done - last_done) / (now - last_time)
+                _report_progress(n, done, rate)
+                last_done, last_time = done, now
         p, irr, inv, fix, bad = _check_covering(n, masks)
         total += weight
         partitions += p * weight
@@ -526,21 +530,21 @@ def verify_laws(n: int) -> VerificationSummary:
     )
 
 
-def _report_progress(n: int, done: int, start: float) -> float:
-    """Log one progress record; returns the time of the next one."""
+def _report_progress(n: int, done: int, rate: float) -> None:
+    """Log one progress record.  ``rate`` is the representatives per second
+    since the previous record, not since the start: the walk meets the
+    families with the most blocks first, so the mean rate so far
+    understates the current one and its ETA would run high."""
     # Imported here, as only runs that last an interval log: importing
     # logging with the module added about 6 ms (Python 3.11) to the start
     # of every command.
     import logging
 
-    now = time.perf_counter()
-    rate = done / (now - start)
     total = _ORBIT_COUNTS[n]
     eta = (total - done) / rate
     logging.getLogger(__name__).info(
         "verify n=%d: %d/%d orbits, %.0f/s, ETA %.0f s", n, done, total, rate, eta
     )
-    return now + _PROGRESS_INTERVAL_S
 
 
 def census(n: int) -> Iterator[CensusRow]:
@@ -583,11 +587,10 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
         raise UniverseTooLarge(
             f"preimage search is capped at {MAX_PREIMAGE_SIZE} elements; got {n}"
         )
-    target = tuple(b.bits for b in d.blocks)
-    down = table(d).nbh
     found: list[Covering] = []
-    if limit == 0 or tuple(sorted(set(down))) != target:
+    if limit == 0 or not is_cov_fixed_point(d):
         return found
+    down = table(d).nbh
     goal = tuple(down)
     downsets = [
         m

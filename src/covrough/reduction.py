@@ -23,6 +23,8 @@ in any order, gives.
 An invariable covering is an irreducible covering in which every element
 has a core block.  These are exactly the coverings equal to their own
 neighborhoods; the oracle module checks that equivalence exhaustively.
+Both halves of the test read the bit table: its reducibility flags and
+its per-element core-block flags, which ``degrees.core_block`` reads too.
 """
 
 from __future__ import annotations
@@ -102,9 +104,7 @@ def is_invariable(c: Covering) -> InvariabilityVerdict:
     has a core block."""
     t = table(c)
     reducible = tuple(b for b, r in zip(c.blocks, t.reducible) if r)
-    missing = tuple(
-        x for x, inter in zip(c.universe.names, t.nbh) if not c.has_bits(inter)
-    )
+    missing = tuple(x for x, cored in zip(c.universe.names, t.cored) if not cored)
     return InvariabilityVerdict(
         invariable=not reducible and not missing,
         reducible_blocks=reducible,

@@ -54,7 +54,6 @@ class AnalysisReport:
     blocks: tuple[BlockRow, ...]
     classification: Classification
     cov: Covering
-    cov_equals_covering: bool
 
 
 def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
@@ -111,7 +110,6 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
         blocks=blocks,
         classification=classification,
         cov=nm.family,
-        cov_equals_covering=classification.cov_fixed_point,
     )
 
 
@@ -165,7 +163,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "cov_fixed_point": r.classification.cov_fixed_point,
         },
         "cov": cov,
-        "cov_equals_covering": r.cov_equals_covering,
+        "cov_equals_covering": r.classification.cov_fixed_point,
     }
 
 
@@ -292,7 +290,7 @@ def render_report(r: AnalysisReport) -> str:
     )
     verdict = (
         "equal to the covering"
-        if r.cov_equals_covering
+        if cls.cov_fixed_point
         else "differs from the covering"
     )
     out.append(f"Cov(C) = {r.cov} ({verdict})")

@@ -4,8 +4,9 @@ A ``Universe`` fixes an ordering of element labels.  A ``Block`` is a
 nonempty subset of a universe stored as a bit vector (element index 0 is the
 lowest bit).  A ``Covering`` is a duplicate-free family of blocks whose
 union is the whole universe, kept in canonical order: ascending by bit
-vector read as an integer.  All three types are immutable, so instances can
-be shared between threads freely.
+vector read as an integer.  That sorted tuple is the only copy of the
+family a covering keeps; membership bisects it.  All three types are
+immutable, so instances can be shared between threads freely.
 
 The covering file format lives here too::
 
@@ -18,6 +19,7 @@ canonical order with the elements of each block in universe order.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -155,12 +157,12 @@ class Covering:
     """Duplicate-free family of blocks whose union is the universe.
 
     The constructor validates and normalizes: blocks may arrive in any
-    order and are stored sorted ascending by bit vector.
+    order and are stored sorted ascending by bit vector.  ``in`` bisects
+    that order on the bit vectors; no per-covering set of them is kept.
     """
 
     universe: Universe
     blocks: tuple[Block, ...]
-    _bitset: frozenset[int] = field(init=False, repr=False, compare=False)
     # The derived operators' bit table, built on first use (see _table).
     _table: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -193,7 +195,6 @@ class Covering:
                 "union of blocks misses element(s): " + ", ".join(missing)
             )
         object.__setattr__(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
-        object.__setattr__(self, "_bitset", frozenset(seen))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -202,15 +203,11 @@ class Covering:
         return iter(self.blocks)
 
     def __contains__(self, block: object) -> bool:
-        return (
-            isinstance(block, Block)
-            and block.universe == self.universe
-            and block.bits in self._bitset
-        )
-
-    def has_bits(self, bits: int) -> bool:
-        """Membership test on a raw bit vector."""
-        return bits in self._bitset
+        if not isinstance(block, Block) or block.universe != self.universe:
+            return False
+        blocks = self.blocks
+        i = bisect_left(blocks, block.bits, key=attrgetter("bits"))
+        return i < len(blocks) and blocks[i].bits == block.bits
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(b) for b in self.blocks) + "}"

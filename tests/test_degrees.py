@@ -9,6 +9,7 @@ from covrough import (
     core_block_assignment,
     degree_profile,
     enumerate_coverings,
+    is_invariable,
     membership_repeat_degree,
     neighborhood,
     non_core_blocks,
@@ -87,6 +88,9 @@ class TestCoreBlock:
     def test_agrees_with_definitional_scan(self, c):
         for x in c.universe:
             assert core_block(c, x) == core_block_definitional(c, x)
+        assert is_invariable(c).elements_without_core == tuple(
+            x for x in c.universe if core_block_definitional(c, x) is None
+        )
 
     @given(coverings())
     def test_core_block_is_neighborhood_and_minimal(self, c):

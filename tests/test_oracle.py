@@ -1,7 +1,9 @@
 import logging
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -224,6 +226,25 @@ class TestVerifyLaws:
         assert record.levelno == logging.INFO
         assert record.getMessage().startswith("verify n=4: 1024/1952 orbits, ")
 
+    def test_progress_rate_covers_the_last_interval_only(
+        self, monkeypatch, caplog
+    ):
+        # the clock is read at the start and once per 512 representatives:
+        # records at 512 (t=16) and 1536 (t=27, 1024 orbits in 11 s); the
+        # mean rate since the start would read 57/s and ETA 7 s there
+        clock = iter([0.0, 16.0, 20.0, 27.0])
+        monkeypatch.setattr(
+            oracle, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        monkeypatch.setattr(oracle, "_PROGRESS_STRIDE", 512)
+        monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 10.0)
+        with caplog.at_level(logging.INFO, logger="covrough.oracle"):
+            verify_laws(4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "verify n=4: 512/1952 orbits, 32/s, ETA 45 s",
+            "verify n=4: 1536/1952 orbits, 93/s, ETA 4 s",
+        ]
+
     def test_progress_is_silent_without_logging_configuration(self):
         # INFO records reach no handler by default, so a library caller
         # that configures nothing sees nothing
@@ -317,6 +338,20 @@ class TestPreimages:
     def test_every_preimage_maps_back(self, singletons3):
         for p in preimages(singletons3):
             assert cov(p) == singletons3
+
+    def test_retained_memory_per_preimage(self):
+        # a covering keeps its blocks once, in the canonical tuple
+        target = make_covering(default_universe(4), [["1"], ["2"], ["3"], ["4"]])
+        preimages(target)  # warm up, so that only the result is counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            found = preimages(target)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 19020
+        assert retained / len(found) < 400
 
     def test_size_cap(self):
         u = default_universe(5)

@@ -17,7 +17,7 @@ class TestAnalyze:
         assert r.classification.irreducible
         assert r.classification.invariable
         assert r.classification.cov_fixed_point
-        assert r.cov_equals_covering
+        assert report_to_dict(r)["cov_equals_covering"] is True
         assert r.cov == fixed_non_partition
 
     def test_element_rows(self, nested_with_tail):

@@ -25,13 +25,15 @@ from covrough import (
     covering_from_json,
     covering_to_dict,
     covering_to_json,
+    default_universe,
+    enumerate_coverings_over,
     is_partition,
     make_covering,
     read_covering,
     write_covering,
 )
 
-from .strategies import coverings
+from .strategies import coverings, planted_coverings
 
 
 class TestUniverse:
@@ -170,6 +172,45 @@ class TestMakeCovering:
     def test_direct_constructor_rejects_duplicates(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #1"):
             Covering(u3, (Block(u3, 0b111), Block(u3, 0b111)))
+
+
+class TestCoveringMembership:
+    """``in`` bisects the canonical order; a scan of the blocks is the
+    reference."""
+
+    @staticmethod
+    def _check(c, probes, twin, foreign):
+        for b in probes:  # all over c.universe
+            assert (b in c) == any(k.bits == b.bits for k in c.blocks), b
+        for k in c.blocks:
+            assert Block(twin, k.bits) in c
+            assert Block(foreign, k.bits) not in c
+            assert k.bits not in c
+        assert c.universe.names[0] not in c
+        assert None not in c
+
+    @staticmethod
+    def _universes(u):
+        """An equal universe built separately, and a foreign one."""
+        return Universe(tuple(u.names)), Universe(tuple(x + "'" for x in u.names))
+
+    def test_every_subset_up_to_four_elements(self):
+        for n in range(1, 5):
+            u = default_universe(n)
+            probes = [Block(u, m) for m in range(1, 1 << n)]
+            twin, foreign = self._universes(u)
+            for c in enumerate_coverings_over(u):
+                self._check(c, probes, twin, foreign)
+
+    @given(planted_coverings())
+    def test_planted_coverings(self, c):
+        full = c.universe.full_bits
+        near = {b.bits + d for b in c.blocks for d in (-1, 0, 1)}
+        lowest, highest = c.blocks[0].bits, c.blocks[-1].bits
+        outside = {lowest - 1, lowest >> 1, highest + 1, full}
+        masks = sorted(m for m in near | outside if 0 < m <= full)
+        probes = [Block(c.universe, m) for m in masks]
+        self._check(c, probes, *self._universes(c.universe))
 
 
 class TestIsPartition:
