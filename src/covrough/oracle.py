@@ -19,7 +19,8 @@ lowest chosen one reaches each canonical mask exactly once.  There are 1, 4,
 34, 1952 and 18664632 of them for n = 1..5 (OEIS A055621), against 1, 5,
 109, 32297 and 2147321017 coverings (OEIS A003465).  On one core of an
 Intel Xeon (Python 3.11), ``verify_laws(4)`` takes about 0.13 s this way,
-where the labelled scan took about 2.0 s.
+where the labelled scan took about 2.0 s, and ``verify_laws(5)`` takes
+about 53 minutes.
 
 The law checker works on raw bit vectors rather than on the public types;
 the public operations are exercised against it by the test suite.
@@ -43,7 +44,7 @@ from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
 
 # Enumeration is capped where exhaustion stops being a desk-scale job:
 # n=5 already yields on the order of 2**31 candidate families, and even
-# their 18664632 orbits take an hour to verify.
+# their 18664632 orbits take 53 minutes to verify.
 MAX_ENUMERATION_SIZE = 5
 MAX_PREIMAGE_SIZE = 4
 
@@ -244,32 +245,31 @@ def _cov_masks(n: int, masks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(nbh)))
 
 
+def _subset_union(k: int, masks: Iterable[int]) -> int:
+    """Union of the members of ``masks`` that are proper subsets of ``k``;
+    it rebuilds ``k`` exactly when ``k`` is reducible among them."""
+    union = 0
+    for m in masks:
+        if m != k and m & ~k == 0:
+            union |= m
+    return union
+
+
 def _reducible_flags(masks: tuple[int, ...]) -> list[bool]:
     """Per block: does the union of its proper-subset blocks rebuild it."""
-    out = []
-    for k in masks:
-        union = 0
-        for m in masks:
-            if m != k and m & ~k == 0:
-                union |= m
-        out.append(union == k)
-    return out
+    return [_subset_union(k, masks) == k for k in masks]
 
 
 def _reduct_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Delete reducible blocks one at a time, in block order, testing each
+    block once against the blocks still there.  A scan that restarted after
+    every deletion would find nothing more: a deletion only shrinks the
+    union of a remaining block's proper subsets, so a block already found
+    irreducible stays irreducible."""
     bits = list(masks)
-    changed = True
-    while changed:
-        changed = False
-        for i, k in enumerate(bits):
-            union = 0
-            for m in bits:
-                if m != k and m & ~k == 0:
-                    union |= m
-            if union == k:
-                del bits[i]
-                changed = True
-                break
+    for k in masks:
+        if _subset_union(k, bits) == k:
+            bits.remove(k)
     return tuple(bits)
 
 
@@ -291,48 +291,82 @@ def _no_union_ok(family: tuple[int, ...]) -> bool:
     return True
 
 
+def _image_laws(n: int, image: tuple[int, ...]) -> list[str]:
+    """The laws that read only the neighborhoods family: no block of it is
+    a union of the others, and the operator is idempotent, so every image
+    is a fixed point and every fixed point is its own preimage."""
+    bad = []
+    if not _no_union_ok(image):
+        bad.append("cov-no-union")
+    if _cov_masks(n, image) != image:
+        bad.append("cov-idempotent")
+    return bad
+
+
+def _nesting_ok(nbh: list[int]) -> bool:
+    """y in N(x) forces N(y) inside N(x); mutual membership forces
+    equality."""
+    for x, nx in enumerate(nbh):
+        rest = nx
+        while rest:
+            low = rest & -rest
+            ny = nbh[low.bit_length() - 1]
+            if ny & ~nx or ny >> x & 1 and ny != nx:
+                return False
+            rest ^= low
+    return True
+
+
+def _degrees_match_blocks(blkidx: list[int], lam: list[list[int]]) -> bool:
+    """deg(x) = lambda(x, y) exactly when every block of x holds y."""
+    for bx, lx in zip(blkidx, lam):
+        dx = bx.bit_count()
+        for by, lxy in zip(blkidx, lx):
+            if (bx & by == bx) != (lxy == dx):
+                return False
+    return True
+
+
 def _core_scan(
     n: int, masks: tuple[int, ...], blkidx: list[int], lam: list[list[int]]
-) -> tuple[list[int | None], bool]:
-    """Definitional core-block scan: for each element, the blocks K with
-    x in K whose every member shares all of x's blocks.  Returns the scan
-    result per element and whether every scan found at most one block."""
+) -> tuple[list[int | None], bool, list[int]]:
+    """Definitional core-block scan: for each element x, the blocks K with
+    x in K whose every member y shares all of x's blocks, which is
+    lambda(x, y) = deg(x).  Returns the first such block per element,
+    whether no scan found two, and the meet of each element's blocks."""
     result: list[int | None] = [None] * n
     unique = True
-    deg = [s.bit_count() for s in blkidx]
+    meets = [-1] * n
     for x in range(n):
-        hits = []
+        lx = lam[x]
+        sharing = 0
+        for y in range(n):
+            if lx[y] == lx[x]:
+                sharing |= 1 << y
         bi = blkidx[x]
         while bi:
             low = bi & -bi
-            j = low.bit_length() - 1
+            m = masks[low.bit_length() - 1]
+            meets[x] &= m
+            if m & ~sharing == 0:
+                if result[x] is None:
+                    result[x] = m
+                else:
+                    unique = False
             bi ^= low
-            m = masks[j]
-            good = True
-            mm = m
-            while mm:
-                lo = mm & -mm
-                y = lo.bit_length() - 1
-                mm ^= lo
-                if lam[x][y] != deg[x]:
-                    good = False
-                    break
-            if good:
-                hits.append(m)
-        if len(hits) > 1:
-            unique = False
-        if hits:
-            result[x] = hits[0]
-    return result, unique
+    return result, unique, meets
 
 
 def _check_covering(
-    n: int, masks: tuple[int, ...]
+    n: int, masks: tuple[int, ...], image_laws: dict[tuple[int, ...], list[str]]
 ) -> tuple[bool, bool, bool, bool, list[str]]:
     """Run every law against one covering given as raw bit vectors.
 
-    Returns (is_partition, is_irreducible, is_invariable, is_fixed_point,
-    violated law names).
+    The per-covering laws are checked on every call.  The image laws
+    (``_image_laws``) read only the neighborhoods family, which many
+    coverings share: ``image_laws`` maps each image checked so far in the
+    run to the laws it breaks.  Returns (is_partition, is_irreducible,
+    is_invariable, is_fixed_point, violated law names).
     """
     bad: list[str] = []
     nbh, blkidx = _element_tables(n, masks)
@@ -341,21 +375,7 @@ def _check_covering(
     # every element sits inside its own neighborhood
     if any(not nbh[x] >> x & 1 for x in range(n)):
         bad.append("neighborhood-reflexive")
-
-    # y in N(x) forces N(y) inside N(x); mutual membership forces equality
-    nesting_ok = True
-    for x in range(n):
-        nx = nbh[x]
-        mm = nx
-        while mm:
-            low = mm & -mm
-            y = low.bit_length() - 1
-            mm ^= low
-            if nbh[y] & ~nx:
-                nesting_ok = False
-            if nx >> y & 1 and nbh[y] >> x & 1 and nbh[y] != nx:
-                nesting_ok = False
-    if not nesting_ok:
+    if not _nesting_ok(nbh):
         bad.append("neighborhood-nesting")
 
     # pair degrees, via block-index sets and, independently, a direct scan
@@ -377,57 +397,34 @@ def _check_covering(
         lam[x][y] > min(deg[x], deg[y]) for x in range(n) for y in range(n)
     ):
         bad.append("lambda-bounded")
-
-    # degree equality versus literal equality of the two block sets
-    for x in range(n):
-        for y in range(n):
-            same_sets = blkidx[x] & blkidx[y] == blkidx[x]
-            if same_sets != (deg[x] == lam[x][y]):
-                bad.append("degree-equality-iff-same-blocks")
-                break
-        else:
-            continue
-        break
+    if not _degrees_match_blocks(blkidx, lam):
+        bad.append("degree-equality-iff-same-blocks")
 
     # core blocks: definitional scan against the intersection route
     maskset = set(masks)
-    scan, unique = _core_scan(n, masks, blkidx, lam)
+    scan, unique, meets = _core_scan(n, masks, blkidx, lam)
     if not unique:
         bad.append("core-block-unique")
     routes = [nbh[x] if nbh[x] in maskset else None for x in range(n)]
     if scan != routes:
         bad.append("core-block-routes-agree")
-    for x in range(n):
-        g = scan[x]
+    for x, g in enumerate(scan):
         if g is None:
             continue
         if g != nbh[x]:
             bad.append("core-block-is-neighborhood")
             break
-        bi = blkidx[x]
-        while bi:
-            low = bi & -bi
-            if g & ~masks[low.bit_length() - 1]:
-                bad.append("core-block-minimal")
-                bi = 0
-                break
-            bi ^= low
+        if g & ~meets[x]:
+            bad.append("core-block-minimal")
 
     core_set = {g for g in scan if g is not None}
-    for m in masks:
-        if m in core_set:
-            continue
-        if m.bit_count() <= 1:
-            bad.append("non-core-block-structure")
-            break
-        mm = m
-        while mm:
-            low = mm & -mm
-            if deg[low.bit_length() - 1] <= 1:
-                bad.append("non-core-block-structure")
-                mm = 0
-                break
-            mm ^= low
+    # a block that is no core block has two or more members, each of them
+    # in two or more blocks
+    lonely = sum(1 << x for x in range(n) if deg[x] <= 1)
+    if any(
+        m not in core_set and (m.bit_count() <= 1 or m & lonely) for m in masks
+    ):
+        bad.append("non-core-block-structure")
 
     reducible = _reducible_flags(masks)
     if any(r and masks[j] in core_set for j, r in enumerate(reducible)):
@@ -438,14 +435,10 @@ def _check_covering(
     ):
         bad.append("all-cored-non-core-reducible")
 
-    # classification flags and the fixed-point characterizations
-    union = 0
-    partition = True
-    for m in masks:
-        if union & m:
-            partition = False
-            break
-        union |= m
+    # classification flags and the fixed-point characterizations; the
+    # blocks cover all n elements, so they are disjoint iff their sizes
+    # sum to n
+    partition = sum(map(int.bit_count, masks)) == n
     irreducible = not any(reducible)
     invariable = irreducible and all_cored
     covfam = tuple(sorted(set(nbh)))
@@ -458,13 +451,10 @@ def _check_covering(
     if invariable != (all_cored and all(m in core_set for m in masks)):
         bad.append("invariable-iff-blocks-all-core")
 
-    # the neighborhoods family: no block is a union of the others, and the
-    # operator is idempotent, so every image is a fixed point and every
-    # fixed point is its own preimage
-    if not _no_union_ok(covfam):
-        bad.append("cov-no-union")
-    if _cov_masks(n, covfam) != covfam:
-        bad.append("cov-idempotent")
+    laws = image_laws.get(covfam)
+    if laws is None:
+        laws = image_laws[covfam] = _image_laws(n, covfam)
+    bad += laws
 
     # cheap necessary conditions never fire on a fixed point
     if fixed and (len(masks) > n or any(reducible)):
@@ -488,8 +478,8 @@ def verify_laws(n: int) -> VerificationSummary:
     once per member of the orbit, so the totals are those of all coverings;
     each law a representative breaks is reported once, for the orbit.
     Streams the representatives, so memory stays flat.  n = 4 takes about
-    0.13 s (1952 representatives for 32297 coverings), n = 5 about an hour
-    on one core (18664632 representatives); n above 5 is refused.
+    0.13 s (1952 representatives for 32297 coverings), n = 5 about 53
+    minutes on one core (18664632 representatives); n above 5 is refused.
 
     About every 10 s of wall time, a run logs one INFO record to the
     ``covrough.oracle`` logger with the representatives done out of the
@@ -502,6 +492,8 @@ def verify_laws(n: int) -> VerificationSummary:
     blocks = _blocks_by_mask(universe)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
+    # image -> the image laws it breaks, for this run only
+    image_laws: dict[tuple[int, ...], list[str]] = {}
     # the representatives done and the clock at the last progress record
     last_done, last_time = 0, time.perf_counter()
     for done, (masks, weight) in enumerate(_orbit_representatives(n), 1):
@@ -511,7 +503,7 @@ def verify_laws(n: int) -> VerificationSummary:
                 rate = (done - last_done) / (now - last_time)
                 _report_progress(n, done, rate)
                 last_done, last_time = done, now
-        p, irr, inv, fix, bad = _check_covering(n, masks)
+        p, irr, inv, fix, bad = _check_covering(n, masks, image_laws)
         total += weight
         partitions += p * weight
         irreducible += irr * weight

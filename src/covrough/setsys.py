@@ -117,6 +117,10 @@ class Block:
     bits: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bits, int):
+            raise TypeError(
+                f"bit vector must be an int; got {type(self.bits).__name__}"
+            )
         if self.bits == 0:
             raise EmptyBlock("a block must be a nonempty subset")
         if self.bits < 0 or self.bits > self.universe.full_bits:

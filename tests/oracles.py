@@ -39,6 +39,20 @@ def is_union_of_others(fam, member):
     return False
 
 
+def reduct_restarting(blocks):
+    """The blocks, in order, with reducible ones deleted one at a time: the
+    first block that is the union of its proper subsets among the blocks
+    left goes, and the scan starts again from the first block."""
+    left = list(blocks)
+    while True:
+        for i, k in enumerate(left):
+            if frozenset().union(*(m for m in left if m < k)) == k:
+                del left[i]
+                break
+        else:
+            return left
+
+
 def coverings_bruteforce(labels):
     """Every covering of the given labels, as frozensets of frozensets."""
     universe = frozenset(labels)

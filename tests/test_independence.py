@@ -15,9 +15,13 @@ CHECKER = (
     "_check_covering",
     "_element_tables",
     "_cov_masks",
+    "_subset_union",
     "_reducible_flags",
     "_reduct_masks",
     "_no_union_ok",
+    "_image_laws",
+    "_nesting_ok",
+    "_degrees_match_blocks",
     "_core_scan",
     "_relabelling_columns",
     "_orbit_representatives",

@@ -6,6 +6,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from covrough import (
     Universe,
@@ -30,7 +31,9 @@ from .oracles import (
     family_of,
     family_of_masks,
     orbit_bruteforce,
+    reduct_restarting,
 )
+from .strategies import planted_coverings
 
 # Flag counts per universe size, frozen from the first verified oracle run
 # (cross-checked against the frozenset brute force in oracles.py):
@@ -121,7 +124,7 @@ class TestOrbitRepresentatives:
             orbit = orbit_bruteforce(fam, 5)
             assert family_mask(fam) == max(map(family_mask, orbit))
             assert weight == len(orbit)
-            assert oracle._check_covering(5, masks)[4] == []
+            assert oracle._check_covering(5, masks, {})[4] == []
 
 
 def _labelled_scan(n):
@@ -130,7 +133,8 @@ def _labelled_scan(n):
     totals = [0] * 5
     violations = []
     for masks in oracle._mask_families(n):
-        *flags, bad = oracle._check_covering(n, masks)
+        # a fresh image memo per covering checks every image law anew
+        *flags, bad = oracle._check_covering(n, masks, {})
         for i, v in enumerate((1, *flags)):
             totals[i] += v
         violations.extend((masks, law) for law in bad)
@@ -150,6 +154,27 @@ def _counts(s):
 def _canonical(masks, n):
     """The largest family mask in the orbit, by brute force."""
     return max(map(family_mask, orbit_bruteforce(family_of_masks(masks), n)))
+
+
+def _has_no_singleton(family):
+    return all(m & (m - 1) for m in family)
+
+
+def _cov_masks_without_singletons(n, masks, cov_masks=oracle._cov_masks):
+    # cov_masks is bound to the real helper before any test patches it
+    return tuple(m for m in cov_masks(n, masks) if m & (m - 1))
+
+
+# Broken law-checker helpers: the per-covering reducibility flags, and the
+# two checks behind the image laws.  Each break depends on the blocks only
+# up to relabelling, as the laws do, and the image-law ones break some
+# images and spare others of the same size, so a memo that mixed up two
+# images would show.
+SABOTAGES = {
+    "_reducible_flags": lambda masks: [False] * len(masks),
+    "_no_union_ok": _has_no_singleton,
+    "_cov_masks": _cov_masks_without_singletons,
+}
 
 
 class TestVerifyLaws:
@@ -174,11 +199,13 @@ class TestVerifyLaws:
         assert s.violations == () and violations == []
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_one_violation_per_violating_orbit(self, monkeypatch, n):
-        monkeypatch.setattr(
-            oracle, "_reducible_flags", lambda masks: [False] * len(masks)
-        )
+    @pytest.mark.parametrize("name", sorted(SABOTAGES))
+    def test_one_violation_per_violating_orbit(self, monkeypatch, n, name):
+        # a representative's image laws come from the run's memo, the
+        # labelled scan checks them afresh on every covering
+        monkeypatch.setattr(oracle, name, SABOTAGES[name])
         totals, labelled = _labelled_scan(n)
+        assert labelled
         s = verify_laws(n)
         assert _counts(s) == totals
         got = [
@@ -187,6 +214,12 @@ class TestVerifyLaws:
         ]
         assert len(got) == len(set(got))
         assert set(got) == {(_canonical(m, n), law) for m, law in labelled}
+
+    def test_image_memo_lasts_one_run(self, monkeypatch):
+        assert verify_laws(3).violations == ()
+        monkeypatch.setattr(oracle, "_no_union_ok", lambda family: False)
+        laws = {law for _, law in verify_laws(3).violations}
+        assert "cov-no-union" in laws
 
     def test_fixed_points_outnumber_partitions(self):
         s = verify_laws(3)
@@ -290,6 +323,29 @@ class TestVerifyLaws:
         monkeypatch.setattr(oracle, "_reduct_masks", lambda masks: masks)
         laws = {law for _, law in oracle.verify_laws(2).violations}
         assert laws == {"reduct-one-pass"}
+
+
+class TestReductReference:
+    """The oracle's reduct scans on after a deletion; the reference in
+    oracles.py restarts from the first block."""
+
+    @staticmethod
+    def _agree(masks):
+        def members(m):
+            return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+
+        expected = reduct_restarting([members(m) for m in masks])
+        assert [members(m) for m in oracle._reduct_masks(masks)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_covering(self, n):
+        for masks in oracle._mask_families(n):
+            self._agree(masks)
+
+    @settings(max_examples=200)
+    @given(planted_coverings())
+    def test_planted_coverings(self, c):
+        self._agree(tuple(b.bits for b in c.blocks))
 
 
 class TestCensus:

@@ -123,6 +123,11 @@ class TestBlock:
         with pytest.raises(UnknownElement):
             Block(u3, 0b1000)
 
+    @pytest.mark.parametrize("bits", [1.5, 1.0, "1", None])
+    def test_non_int_bits_rejected(self, u3, bits):
+        with pytest.raises(TypeError, match=type(bits).__name__):
+            Block(u3, bits)
+
     def test_issubset(self, u3):
         assert u3.block(["1"]).issubset(u3.block(["1", "2"]))
         assert not u3.block(["3"]).issubset(u3.block(["1", "2"]))
