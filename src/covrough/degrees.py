@@ -72,7 +72,7 @@ def core_block(c: Covering, x: str) -> Block | None:
     blocks); the test suite compares both routes.
     """
     t, i = table(c), c.universe.index(x)
-    return Block(c.universe, t.nbh[i]) if t.cored[i] else None
+    return Block._of(c.universe, t.nbh[i]) if t.cored[i] else None
 
 
 def core_block_assignment(c: Covering) -> CoreBlockAssignment:

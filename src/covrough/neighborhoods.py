@@ -35,12 +35,12 @@ class RejectReason(enum.Enum):
 
 def neighborhood(c: Covering, x: str) -> Block:
     """Intersection of all blocks of ``c`` containing ``x``."""
-    return Block(c.universe, table(c).nbh[c.universe.index(x)])
+    return Block._of(c.universe, table(c).nbh[c.universe.index(x)])
 
 
 def neighborhood_map(c: Covering) -> NeighborhoodMap:
     per = {
-        name: Block(c.universe, bits)
+        name: Block._of(c.universe, bits)
         for name, bits in zip(c.universe.names, table(c).nbh)
     }
     return NeighborhoodMap(covering=c, per_element=per, family=cov(c))
@@ -49,8 +49,9 @@ def neighborhood_map(c: Covering) -> NeighborhoodMap:
 def cov(c: Covering) -> Covering:
     """The neighborhoods of ``c``: the deduplicated family of all element
     neighborhoods, in canonical order.  Always a valid covering."""
+    u = c.universe
     masks = sorted(set(table(c).nbh))
-    return Covering(c.universe, tuple(Block(c.universe, m) for m in masks))
+    return Covering._of(u, tuple(Block._of(u, m) for m in masks))
 
 
 def is_cov_fixed_point(c: Covering) -> bool:

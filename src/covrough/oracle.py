@@ -132,13 +132,15 @@ def _blocks_by_mask(universe: Universe) -> list[Block | None]:
     """One shared ``Block`` per nonempty subset, indexed by its bit vector
     (index 0, the empty set, holds ``None``).  Blocks are immutable, so the
     coverings built from one universe can all share them."""
-    return [None] + [Block(universe, m) for m in range(1, universe.full_bits + 1)]
+    return [None] + [Block._of(universe, m) for m in range(1, universe.full_bits + 1)]
 
 
 def _covering_from_masks(
     universe: Universe, blocks: list[Block | None], masks: Iterable[int]
 ) -> Covering:
-    return Covering(universe, tuple(blocks[m] for m in masks))
+    """``masks`` are distinct, ascending and cover the universe, as
+    ``Covering._of`` requires."""
+    return Covering._of(universe, tuple(blocks[m] for m in masks))
 
 
 def enumerate_coverings(n: int) -> Iterator[Covering]:
@@ -156,6 +158,8 @@ def enumerate_coverings_over(universe: Universe) -> Iterator[Covering]:
 
 
 def _check_size(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"universe size must be an int; got {type(n).__name__}")
     if n < 1:
         raise ValueError("universe size must be at least 1")
     if n > MAX_ENUMERATION_SIZE:
@@ -560,8 +564,9 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
 
     Empty exactly when ``d`` is not a fixed point; when it is one, the
     result contains ``d`` itself.  ``limit`` keeps only the first ``limit``
-    results (none for 0); a negative limit raises ``ValueError``.  Capped at
-    4-element universes.
+    results (none for 0).  A negative limit raises ``ValueError``, and one
+    that is not an ``int`` raises ``TypeError``.  Capped at 4-element
+    universes.
 
     The search is structural.  A fixed point ``d`` defines a preorder,
     y <= x iff y is in N(x), whose principal down-sets are the
@@ -572,8 +577,11 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     before putting it in, which yields families in ascending family-mask
     order, the order of ``enumerate_coverings``.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be at least 0; got {limit}")
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise TypeError(f"limit must be an int; got {type(limit).__name__}")
+        if limit < 0:
+            raise ValueError(f"limit must be at least 0; got {limit}")
     n = d.universe.size
     if n > MAX_PREIMAGE_SIZE:
         raise UniverseTooLarge(
@@ -596,7 +604,8 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     blocks = _blocks_by_mask(universe)
     # Depth first over (next down-set index, running intersections, chosen
     # down-sets).  A popped state leaves down-sets i, i-1, ..., 0 out in
-    # turn and defers on the stack each branch that puts one of them in.
+    # turn and defers on the stack each branch that puts one of them in,
+    # in front of the chosen ones, which so stay ascending.
     # An element in no chosen block keeps -1, so reaching ``goal`` also
     # proves the family covers the universe.
     stack = [(len(downsets) - 1, (-1,) * n, ())]
@@ -604,7 +613,7 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
         i, inter, chosen = stack.pop()
         for j in range(i, -1, -1):
             stack.append(
-                (j - 1, tuple(map(and_, inter, meets[j])), chosen + (downsets[j],))
+                (j - 1, tuple(map(and_, inter, meets[j])), (downsets[j],) + chosen)
             )
         if inter == goal:
             found.append(_covering_from_masks(universe, blocks, chosen))

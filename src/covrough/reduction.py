@@ -96,7 +96,7 @@ def reduct(c: Covering) -> Covering:
     against its own iterative reduction on every small covering.
     """
     kept = tuple(b for b, r in zip(c.blocks, table(c).reducible) if not r)
-    return Covering(c.universe, kept)
+    return Covering._of(c.universe, kept)
 
 
 def is_invariable(c: Covering) -> InvariabilityVerdict:

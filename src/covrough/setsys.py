@@ -8,6 +8,23 @@ vector read as an integer.  That sorted tuple is the only copy of the
 family a covering keeps; membership bisects it.  All three types are
 immutable, so instances can be shared between threads freely.
 
+Validation happens once, at the boundary.  The public constructors
+``Universe``, ``Block`` and ``Covering``, ``make_covering`` and the file
+readers check everything they are given.  The coverings and blocks the
+library derives are built through the private ``Block._of`` and
+``Covering._of`` without a re-check, because each builder guarantees the
+invariants itself:
+
+- ``cov`` keeps the distinct neighborhoods, sorted; they cover because
+  every element lies in its own neighborhood;
+- ``reduct`` keeps the irreducible blocks in their order; they cover
+  because every reducible block is a union of irreducible ones;
+- enumeration, ``preimages`` and the oracle's violation records take
+  distinct subset masks in ascending order from families whose union they
+  have checked to be the universe;
+- the blocks of ``neighborhood`` and ``core_block`` are N(x), an
+  intersection of blocks that holds x.
+
 The covering file format lives here too::
 
     {"universe": ["1", "2", "3"], "blocks": [["1"], ["1", "2"], ["3"]]}
@@ -48,6 +65,10 @@ class Universe:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.names, str):
+            raise InvalidUniverse(
+                "element labels must be a collection of strings, not one str"
+            )
         names = tuple(self.names)
         if not names:
             raise InvalidUniverse("a universe needs at least one element")
@@ -117,7 +138,7 @@ class Block:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int):
+        if isinstance(self.bits, bool) or not isinstance(self.bits, int):
             raise TypeError(
                 f"bit vector must be an int; got {type(self.bits).__name__}"
             )
@@ -128,6 +149,16 @@ class Block:
                 f"bit vector {self.bits:#x} does not fit a universe of "
                 f"size {self.universe.size}"
             )
+
+    @classmethod
+    def _of(cls, universe: Universe, bits: int) -> "Block":
+        """The dataclass ``__init__`` without ``__post_init__``.  The caller
+        guarantees that ``bits`` is an ``int`` naming a nonempty subset of
+        ``universe``."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "universe", universe)
+        object.__setattr__(b, "bits", bits)
+        return b
 
     def members(self) -> tuple[str, ...]:
         """Element labels of this block, in universe order: its set bits,
@@ -163,6 +194,8 @@ class Covering:
     The constructor validates and normalizes: blocks may arrive in any
     order and are stored sorted ascending by bit vector.  ``in`` bisects
     that order on the bit vectors; no per-covering set of them is kept.
+    Coverings the library derives skip the constructor's checks through
+    ``_of``; the module docstring says why each of them is valid.
     """
 
     universe: Universe
@@ -200,6 +233,17 @@ class Covering:
             )
         object.__setattr__(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
 
+    @classmethod
+    def _of(cls, universe: Universe, blocks: tuple[Block, ...]) -> "Covering":
+        """The dataclass ``__init__`` without ``__post_init__``.  The caller
+        guarantees that ``blocks`` is a tuple of distinct blocks of
+        ``universe``, ascending by ``bits``, whose union is the universe."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "universe", universe)
+        object.__setattr__(c, "blocks", blocks)
+        object.__setattr__(c, "_table", None)
+        return c
+
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -223,11 +267,14 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
     Within one subset, label order and repeats do not matter; two subsets
     naming the same set of elements are an error rather than being merged.
     Raises ``EmptyBlock``, ``UnknownElement``, ``DuplicateBlock`` or
-    ``NotACover``, with the offending block index in the message.
+    ``NotACover``, and ``TypeError`` for a subset given as one ``str``,
+    with the offending block index in the message.
     """
     index = universe._index
     blocks: list[Block] = []
     for i, labels in enumerate(subsets):
+        if isinstance(labels, str):
+            raise TypeError(f"block #{i} must be a collection of labels, not a str")
         bits = 0
         for label in labels:
             try:
@@ -238,7 +285,7 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
                 ) from None
         if bits == 0:
             raise EmptyBlock(f"block #{i} is empty")
-        blocks.append(Block(universe, bits))
+        blocks.append(Block._of(universe, bits))
     return Covering(universe, tuple(blocks))
 
 

@@ -9,16 +9,21 @@ import pytest
 from hypothesis import given, settings
 
 from covrough import (
+    Block,
+    Covering,
     Universe,
     UniverseTooLarge,
     census,
+    core_block,
     cov,
     default_universe,
     enumerate_coverings,
     enumerate_coverings_over,
     is_cov_fixed_point,
     make_covering,
+    neighborhood_map,
     preimages,
+    reduct,
     summary_to_dict,
     verify_laws,
 )
@@ -87,6 +92,16 @@ class TestEnumerateCoverings:
             list(enumerate_coverings(0))
         with pytest.raises(UniverseTooLarge):
             list(enumerate_coverings(6))
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_size_must_be_an_int(self, n):
+        # True would otherwise run as n=1
+        message = f"universe size must be an int; got {type(n).__name__}"
+        for run in (enumerate_coverings, census):
+            with pytest.raises(TypeError, match=message):
+                next(run(n))
+        with pytest.raises(TypeError, match=message):
+            verify_laws(n)
 
 
 # Coverings up to relabelling of the elements (OEIS A055621).
@@ -391,6 +406,13 @@ class TestPreimages:
         with pytest.raises(ValueError):
             preimages(singletons3, limit=-1)
 
+    @pytest.mark.parametrize("limit", [1.5, True, "1"])
+    def test_non_int_limit_rejected(self, singletons3, limit):
+        # 1.5 would otherwise give two coverings
+        message = f"limit must be an int; got {type(limit).__name__}"
+        with pytest.raises(TypeError, match=message):
+            preimages(singletons3, limit=limit)
+
     def test_every_preimage_maps_back(self, singletons3):
         for p in preimages(singletons3):
             assert cov(p) == singletons3
@@ -465,3 +487,59 @@ class TestPreimages:
             full = preimages(d)
             for k in (0, 1, 2, 3, 17, len(full) - 1, len(full), len(full) + 1):
                 assert preimages(d, limit=k) == full[:k]
+
+
+def _assert_revalidates(c):
+    """``c``, built by the library without the constructor's checks,
+    equals its rebuild through the validating public constructors."""
+    u = c.universe
+    again = Covering(u, [Block(u, b.bits) for b in c.blocks])
+    assert again == c
+    assert hash(again) == hash(c)
+    assert repr(again) == repr(c)
+
+
+class TestDerivedCoveringsRevalidate:
+    """Every covering the library derives passes the public validation and
+    comes out unchanged: same blocks, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_covering_with_cov_and_reduct(self, n):
+        for c in enumerate_coverings(n):
+            for derived in (c, cov(c), reduct(c)):
+                _assert_revalidates(derived)
+
+    def test_derived_blocks(self):
+        for n in (1, 2, 3):
+            for c in enumerate_coverings(n):
+                u = c.universe
+                cores = (core_block(c, x) for x in u.names)
+                derived = [*neighborhood_map(c).per_element.values(), *cores]
+                for b in filter(None, derived):
+                    again = Block(u, b.bits)
+                    assert again == b and repr(again) == repr(b)
+
+    def test_every_preimage_at_four(self):
+        fixed = [d for d in enumerate_coverings(4) if is_cov_fixed_point(d)]
+        assert len(fixed) == FROZEN_CENSUS[4][4]
+        total = 0
+        for d in fixed:
+            for p in preimages(d):
+                _assert_revalidates(p)
+                total += 1
+        assert total == FROZEN_CENSUS[4][0]
+
+    @given(planted_coverings())
+    def test_planted_coverings(self, c):
+        u = c.universe
+        rebuilt = make_covering(u, [b.members() for b in reversed(c.blocks)])
+        for derived in (rebuilt, cov(c), reduct(c)):
+            _assert_revalidates(derived)
+
+    def test_violation_records(self, monkeypatch):
+        name = "_reducible_flags"
+        monkeypatch.setattr(oracle, name, SABOTAGES[name])
+        violations = verify_laws(3).violations
+        assert violations
+        for c, _ in violations:
+            _assert_revalidates(c)

@@ -56,6 +56,11 @@ class TestUniverse:
         with pytest.raises(InvalidUniverse):
             Universe((1, 2))
 
+    def test_one_string_rejected(self):
+        # its characters would otherwise become the labels
+        with pytest.raises(InvalidUniverse, match="not one str"):
+            Universe("123")
+
     def test_word_width_cap(self):
         Universe(tuple(f"e{i}" for i in range(64)))  # at the cap is fine
         with pytest.raises(UniverseTooLarge):
@@ -123,7 +128,7 @@ class TestBlock:
         with pytest.raises(UnknownElement):
             Block(u3, 0b1000)
 
-    @pytest.mark.parametrize("bits", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("bits", [1.5, 1.0, "1", None, True])
     def test_non_int_bits_rejected(self, u3, bits):
         with pytest.raises(TypeError, match=type(bits).__name__):
             Block(u3, bits)
@@ -153,6 +158,13 @@ class TestMakeCovering:
     def test_unknown_element_names_index(self, u3):
         with pytest.raises(UnknownElement, match="#1"):
             make_covering(u3, [["1", "2", "3"], ["4"]])
+
+    def test_string_block_names_index(self, u3):
+        # "12" would otherwise read as the block {1, 2}
+        with pytest.raises(TypeError, match="#0"):
+            make_covering(u3, ["12", "3"])
+        with pytest.raises(TypeError, match="#1"):
+            make_covering(u3, [["1", "2"], "3"])
 
     def test_duplicate_subsets_rejected(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #2"):
