@@ -1,5 +1,5 @@
 """The bit table of a covering, shared by the neighborhood, degree and
-reduction operators.
+reduction operators and by the full report, ``report.analyze``.
 
 One pass over the blocks records, for every element x, its neighborhood
 N(x), the intersection of the blocks containing x, as an element mask,

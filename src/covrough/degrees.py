@@ -91,8 +91,8 @@ def non_core_blocks(c: Covering) -> list[Block]:
 
 
 def degree_profile(c: Covering) -> DegreeProfile:
-    """Materialize both degree tables; meant for reporting, not for point
-    queries (the table is quadratic in the universe size)."""
+    """Materialize both degree tables.  The pair table is quadratic in the
+    universe size; single values are the point queries' job."""
     names = c.universe.names
     holders = dict(zip(names, table(c).holders))
     membership = {x: holders[x].bit_count() for x in names}

@@ -3,6 +3,10 @@ block assignment, reducibility witnesses, and the classification verdicts.
 Used by the command-line front end; the JSON form mirrors the report
 fields one to one.
 
+``analyze`` reads the covering's bit table (see ``_table``) once, by
+element and block index; the pair-degree matrix is computed only on
+request.
+
 ``report_to_dict`` is the one JSON schema.  ``report_to_json`` writes it
 as text, byte for byte what ``json.dumps`` writes for that dict with
 ``indent=2``: a two-space indent and ``\\uXXXX`` escapes for non-ASCII.
@@ -17,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from .degrees import core_block_assignment, degree_profile
-from .neighborhoods import neighborhood_map
-from .reduction import reducibility_report
+from ._table import pick, table
+from .neighborhoods import cov, is_cov_fixed_point
+from .reduction import is_invariable
 from .setsys import Block, Covering, covering_to_dict, is_partition
 
 
@@ -59,58 +63,39 @@ class AnalysisReport:
 def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
     """Compute the full report for one covering.
 
-    Every row and verdict is derived from the covering's one bit table.
-    The pair-degree matrix is opt-in: it is quadratic in the universe size
-    and rarely wanted.
+    Every row is read from the covering's one bit table by element and
+    block index; the verdicts are the library's own tests.  The pair-degree
+    matrix is computed only when ``include_lambda`` is set: it is quadratic
+    in the universe size and rarely wanted.
     """
-    names = c.universe.names
-    nm = neighborhood_map(c)
-    assignment = core_block_assignment(c)
-    profile = degree_profile(c)
-    red = reducibility_report(c)
-
+    t, names, image = table(c), c.universe.names, cov(c)
+    nbh = {b.bits: b for b in image.blocks}  # one Block per distinct N(x)
     elements = tuple(
-        ElementRow(
-            element=x,
-            membership_degree=profile.membership[x],
-            neighborhood=nm.per_element[x],
-            core_block=assignment.per_element[x],
-        )
-        for x in names
+        ElementRow(x, s.bit_count(), nbh[m], nbh[m] if cored else None)
+        for x, s, m, cored in zip(names, t.holders, t.nbh, t.cored)
     )
     lam = None
     if include_lambda:
-        lam = tuple(
-            tuple(profile.common[x, y] for y in names) for x in names
-        )
-    core_of: dict[Block, list[str]] = {}
-    for x in names:
-        g = assignment.per_element[x]
-        if g is not None:
-            core_of.setdefault(g, []).append(x)
+        lam = tuple(tuple((s & r).bit_count() for r in t.holders) for s in t.holders)
+    core_of: dict[int, list[str]] = {}  # x's core block, if any, is N(x)
+    for x, m in zip(names, t.nbh):
+        core_of.setdefault(m, []).append(x)
     blocks = tuple(
         BlockRow(
             block=b,
-            core_block_of=tuple(core_of.get(b, ())),
-            witness=red.per_block[b],
+            core_block_of=tuple(core_of.get(b.bits, ())),
+            witness=tuple(pick(c, t.subsets(j))) if reducible else None,
         )
-        for b in c.blocks
+        for j, (b, reducible) in enumerate(zip(c.blocks, t.reducible))
     )
-    all_cored = all(g is not None for g in assignment.per_element.values())
+    verdict = is_invariable(c)
     classification = Classification(
         partition=is_partition(c),
-        irreducible=red.is_irreducible_covering,
-        invariable=red.is_irreducible_covering and all_cored,
-        cov_fixed_point=nm.family == c,
+        irreducible=not verdict.reducible_blocks,
+        invariable=verdict.invariable,
+        cov_fixed_point=is_cov_fixed_point(c),
     )
-    return AnalysisReport(
-        covering=c,
-        elements=elements,
-        lambda_matrix=lam,
-        blocks=blocks,
-        classification=classification,
-        cov=nm.family,
-    )
+    return AnalysisReport(c, elements, lam, blocks, classification, image)
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
@@ -214,7 +199,7 @@ def _indented(obj: object, pad: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
         for i in range(len(header))
@@ -237,7 +222,7 @@ def render_report(r: AnalysisReport) -> str:
     out.append(f"covering of {r.covering.universe}: {r.covering}")
     out.append("")
     out.extend(
-        _table(
+        _grid(
             ["element", "degree", "neighborhood", "core block"],
             [
                 [
@@ -253,7 +238,7 @@ def render_report(r: AnalysisReport) -> str:
     if r.lambda_matrix is not None:
         out.append("")
         out.extend(
-            _table(
+            _grid(
                 ["lambda", *names],
                 [
                     [x, *(str(v) for v in row)]
@@ -263,7 +248,7 @@ def render_report(r: AnalysisReport) -> str:
         )
     out.append("")
     out.extend(
-        _table(
+        _grid(
             ["block", "core block of", "reducible"],
             [
                 [

@@ -138,6 +138,10 @@ class Block:
     bits: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.universe, Universe):
+            raise TypeError(
+                f"universe must be a Universe; got {type(self.universe).__name__}"
+            )
         if isinstance(self.bits, bool) or not isinstance(self.bits, int):
             raise TypeError(
                 f"bit vector must be an int; got {type(self.bits).__name__}"
@@ -208,7 +212,9 @@ class Covering:
         given = tuple(self.blocks)
         union = 0
         seen: set[int] = set()
-        for b in given:
+        for i, b in enumerate(given):
+            if not isinstance(b, Block):
+                raise TypeError(f"block #{i} must be a Block; got {type(b).__name__}")
             if b.universe is not u and b.universe != u:
                 raise UnknownElement(
                     f"block {b} belongs to a different universe {b.universe}"
@@ -266,9 +272,10 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
 
     Within one subset, label order and repeats do not matter; two subsets
     naming the same set of elements are an error rather than being merged.
-    Raises ``EmptyBlock``, ``UnknownElement``, ``DuplicateBlock`` or
-    ``NotACover``, and ``TypeError`` for a subset given as one ``str``,
-    with the offending block index in the message.
+    Raises ``EmptyBlock``, ``UnknownElement`` (also for an unhashable
+    label), ``DuplicateBlock`` or ``NotACover``, and ``TypeError`` for a
+    subset given as one ``str``, with the offending block index in the
+    message.
     """
     index = universe._index
     blocks: list[Block] = []
@@ -279,7 +286,7 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
         for label in labels:
             try:
                 bits |= 1 << index[label]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise UnknownElement(
                     f"block #{i}: unknown element {label!r}"
                 ) from None

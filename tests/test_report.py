@@ -4,8 +4,22 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from covrough import analyze, enumerate_coverings, render_report, report_to_dict
-from covrough.report import _indented, report_to_json
+from covrough import (
+    analyze,
+    common_block_repeat_degree,
+    core_block,
+    cov,
+    enumerate_coverings,
+    is_cov_fixed_point,
+    is_invariable,
+    is_partition,
+    is_reducible_element,
+    membership_repeat_degree,
+    neighborhood,
+    render_report,
+    report_to_dict,
+)
+from covrough.report import Classification, _indented, report_to_json
 
 from .strategies import planted_coverings
 
@@ -48,6 +62,51 @@ class TestAnalyze:
         for c in enumerate_coverings(3):
             r = analyze(c)
             assert r.classification.invariable == r.classification.cov_fixed_point
+
+
+def _assert_agrees_with_point_queries(c, include_lambda):
+    """Every field of the report equals what the public point query for
+    it answers."""
+    r = analyze(c, include_lambda=include_lambda)
+    names = c.universe.names
+    assert r.covering is c
+    assert [e.element for e in r.elements] == list(names)
+    for e in r.elements:
+        assert e.membership_degree == membership_repeat_degree(c, e.element)
+        assert e.neighborhood == neighborhood(c, e.element)
+        assert e.core_block == core_block(c, e.element)
+    if include_lambda:
+        assert r.lambda_matrix == tuple(
+            tuple(common_block_repeat_degree(c, x, y) for y in names) for x in names
+        )
+    else:
+        assert r.lambda_matrix is None
+    assert [row.block for row in r.blocks] == list(c.blocks)
+    for row in r.blocks:
+        assert row.witness == is_reducible_element(c, row.block)
+        assert row.core_block_of == tuple(
+            x for x in names if core_block(c, x) == row.block
+        )
+    assert r.classification == Classification(
+        partition=is_partition(c),
+        irreducible=all(is_reducible_element(c, b) is None for b in c.blocks),
+        invariable=is_invariable(c).invariable,
+        cov_fixed_point=is_cov_fixed_point(c),
+    )
+    assert r.cov == cov(c)
+
+
+class TestAgreesWithPointQueries:
+    @pytest.mark.parametrize("include_lambda", [False, True])
+    def test_every_small_covering(self, include_lambda):
+        for n in (1, 2, 3):
+            for c in enumerate_coverings(n):
+                _assert_agrees_with_point_queries(c, include_lambda)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_coverings(), st.booleans())
+    def test_planted_coverings(self, c, include_lambda):
+        _assert_agrees_with_point_queries(c, include_lambda)
 
 
 class TestReportDict:

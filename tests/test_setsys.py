@@ -133,6 +133,10 @@ class TestBlock:
         with pytest.raises(TypeError, match=type(bits).__name__):
             Block(u3, bits)
 
+    def test_non_universe_rejected(self):
+        with pytest.raises(TypeError, match="universe must be a Universe; got tuple"):
+            Block(("1", "2"), 1)
+
     def test_issubset(self, u3):
         assert u3.block(["1"]).issubset(u3.block(["1", "2"]))
         assert not u3.block(["3"]).issubset(u3.block(["1", "2"]))
@@ -166,6 +170,10 @@ class TestMakeCovering:
         with pytest.raises(TypeError, match="#1"):
             make_covering(u3, [["1", "2"], "3"])
 
+    def test_unhashable_label_names_index(self, u3):
+        with pytest.raises(UnknownElement, match=r"^block #0: unknown element \['1'\]$"):
+            make_covering(u3, [[["1"]], ["2", "3"]])
+
     def test_duplicate_subsets_rejected(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #2"):
             make_covering(u3, [["1", "2"], ["3"], ["2", "1"]])
@@ -185,6 +193,12 @@ class TestMakeCovering:
         other = Universe(("a", "b", "c"))
         with pytest.raises(UnknownElement):
             Covering(u3, (Block(other, 0b111),))
+
+    def test_direct_constructor_rejects_non_blocks(self, u3):
+        with pytest.raises(TypeError, match="^block #0 must be a Block; got int$"):
+            Covering(u3, [3, 4])
+        with pytest.raises(TypeError, match="#1 must be a Block; got frozenset"):
+            Covering(u3, [Block(u3, 0b111), frozenset("1")])
 
     def test_direct_constructor_rejects_duplicates(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #1"):
