@@ -46,7 +46,6 @@ from .oracle import (
     census,
     default_universe,
     enumerate_coverings,
-    enumerate_coverings_over,
     preimages,
     summary_to_dict,
     verify_laws,
@@ -112,7 +111,6 @@ __all__ = [
     "default_universe",
     "degree_profile",
     "enumerate_coverings",
-    "enumerate_coverings_over",
     "is_cov_fixed_point",
     "is_invariable",
     "is_partition",

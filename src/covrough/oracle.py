@@ -2,11 +2,11 @@
 verification of the structural laws relating neighborhoods, repeat degrees,
 core blocks, reduction, and invariability.
 
-Enumeration walks integer bitmasks over the 2**n - 1 nonempty subsets of an
-n-element universe: each family mask selects a set of subsets, and families
-whose union is the whole universe are kept.  The order is deterministic
-(family mask ascending) and the same scheme is simple enough to
-re-implement independently, which the test suite does.
+Enumeration and the preimage search share one depth-first walk over the
+families of a list of subsets, in ascending family-mask order: coverings
+are the families of all 2**n - 1 nonempty subsets whose union is the
+universe.  The order is deterministic and simple enough to re-implement
+independently, which the test suite does.
 
 Verification checks one covering per relabelling orbit.  Every law is a
 statement about neighborhoods, repeat degrees, core blocks and reducibility,
@@ -108,24 +108,27 @@ def default_universe(n: int) -> Universe:
     return Universe(tuple(str(i) for i in range(1, n + 1)))
 
 
-def _mask_families(n: int) -> Iterator[tuple[int, ...]]:
-    """All covering families as ascending tuples of subset bit vectors.
+def _families(
+    n: int, subsets: list[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every family of ``subsets``, ascending bit vectors, in ascending
+    family-mask order (bit i selects ``subsets[i]``), the empty one first.
 
-    Family mask bit j selects the subset whose bit vector is j + 1.
+    Yields ``(intersections, masks)``: per element x, the intersection of
+    the members holding x, or -1 if none does; and the members, ascending.
+    Depth first: each family is followed by those that add one subset
+    below its lowest member, lowest first, which is counting up.
     """
-    full = (1 << n) - 1
-    for fam in range(1, 1 << full):
-        masks = []
-        union = 0
-        f = fam
-        while f:
-            low = f & -f
-            m = low.bit_length()  # subset mask encoded as bit position + 1
-            masks.append(m)
-            union |= m
-            f ^= low
-        if union == full:
-            yield tuple(masks)
+    meets = [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in subsets]
+    # (index of the highest subset still allowed, intersections, masks)
+    stack = [(len(subsets) - 1, (-1,) * n, ())]
+    while stack:
+        i, inter, masks = stack.pop()
+        yield inter, masks
+        for j in range(i, -1, -1):
+            stack.append(
+                (j - 1, tuple(map(and_, inter, meets[j])), (subsets[j],) + masks)
+            )
 
 
 def _blocks_by_mask(universe: Universe) -> list[Block | None]:
@@ -146,15 +149,11 @@ def _covering_from_masks(
 def enumerate_coverings(n: int) -> Iterator[Covering]:
     """Yield every covering of an n-element universe exactly once, in
     deterministic order.  Capped at n = 5."""
-    yield from enumerate_coverings_over(default_universe(_check_size(n)))
-
-
-def enumerate_coverings_over(universe: Universe) -> Iterator[Covering]:
-    """Same enumeration over a caller-supplied universe (size capped)."""
-    n = _check_size(universe.size)
+    universe = default_universe(_check_size(n))
     blocks = _blocks_by_mask(universe)
-    for masks in _mask_families(n):
-        yield _covering_from_masks(universe, blocks, masks)
+    for inter, masks in _families(n, list(range(1, universe.full_bits + 1))):
+        if -1 not in inter:  # the union is the whole universe
+            yield _covering_from_masks(universe, blocks, masks)
 
 
 def _check_size(n: int) -> int:
@@ -572,10 +571,9 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     y <= x iff y is in N(x), whose principal down-sets are the
     neighborhoods.  A covering C has Cov(C) = d iff every block of C is a
     down-set of this preorder and, for each x, the blocks of C containing
-    x intersect to exactly N(x).  So only families of down-sets are
-    searched: depth first from the highest down-set, leaving a set out
-    before putting it in, which yields families in ascending family-mask
-    order, the order of ``enumerate_coverings``.
+    x intersect to exactly N(x).  So only the families of down-sets are
+    walked, by the walk ``enumerate_coverings`` takes over all subsets:
+    the results come in enumeration order by construction.
     """
     if limit is not None:
         if isinstance(limit, bool) or not isinstance(limit, int):
@@ -597,26 +595,11 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
         for m in range(1, 1 << n)
         if all(down[x] & ~m == 0 for x in range(n) if m >> x & 1)
     ]
-    # Per down-set, what it does to each element's running intersection
-    # when put in: -1 (no change) for the elements outside it.
-    meets = [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in downsets]
     universe = d.universe
     blocks = _blocks_by_mask(universe)
-    # Depth first over (next down-set index, running intersections, chosen
-    # down-sets).  A popped state leaves down-sets i, i-1, ..., 0 out in
-    # turn and defers on the stack each branch that puts one of them in,
-    # in front of the chosen ones, which so stay ascending.
-    # An element in no chosen block keeps -1, so reaching ``goal`` also
-    # proves the family covers the universe.
-    stack = [(len(downsets) - 1, (-1,) * n, ())]
-    while stack:
-        i, inter, chosen = stack.pop()
-        for j in range(i, -1, -1):
-            stack.append(
-                (j - 1, tuple(map(and_, inter, meets[j])), (downsets[j],) + chosen)
-            )
-        if inter == goal:
-            found.append(_covering_from_masks(universe, blocks, chosen))
+    for inter, masks in _families(n, downsets):
+        if inter == goal:  # goal holds no -1, so the family covers
+            found.append(_covering_from_masks(universe, blocks, masks))
             if limit is not None and len(found) >= limit:
                 break
     return found

@@ -130,6 +130,20 @@ class Universe:
         return "{" + ", ".join(self.names) + "}"
 
 
+def _check_universe(universe: object) -> Universe:
+    if not isinstance(universe, Universe):
+        raise TypeError(f"universe must be a Universe; got {type(universe).__name__}")
+    return universe
+
+
+def _iterate(items: object, what: str) -> Iterator:
+    """``iter(items)``, or a ``TypeError`` that says ``what`` was expected."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise TypeError(f"{what}; got {type(items).__name__}") from None
+
+
 @dataclass(frozen=True)
 class Block:
     """Nonempty subset of a universe, stored as a bit vector."""
@@ -138,10 +152,7 @@ class Block:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.universe, Universe):
-            raise TypeError(
-                f"universe must be a Universe; got {type(self.universe).__name__}"
-            )
+        _check_universe(self.universe)
         if isinstance(self.bits, bool) or not isinstance(self.bits, int):
             raise TypeError(
                 f"bit vector must be an int; got {type(self.bits).__name__}"
@@ -208,8 +219,8 @@ class Covering:
     _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        u = self.universe
-        given = tuple(self.blocks)
+        u = _check_universe(self.universe)
+        given = tuple(_iterate(self.blocks, "blocks must be an iterable of Blocks"))
         union = 0
         seen: set[int] = set()
         for i, b in enumerate(given):
@@ -274,16 +285,25 @@ def make_covering(universe: Universe, subsets: Iterable[Iterable[str]]) -> Cover
     naming the same set of elements are an error rather than being merged.
     Raises ``EmptyBlock``, ``UnknownElement`` (also for an unhashable
     label), ``DuplicateBlock`` or ``NotACover``, and ``TypeError`` for a
-    subset given as one ``str``, with the offending block index in the
-    message.
+    universe that is no ``Universe``, a family that is not iterable, or a
+    subset that is one ``str`` or not iterable, with the offending block
+    index in the message.
     """
-    index = universe._index
+    index = _check_universe(universe)._index
     blocks: list[Block] = []
-    for i, labels in enumerate(subsets):
+    family = _iterate(subsets, "subsets must be an iterable of label collections")
+    for i, labels in enumerate(family):
         if isinstance(labels, str):
             raise TypeError(f"block #{i} must be a collection of labels, not a str")
+        try:
+            members = iter(labels)
+        except TypeError:
+            raise TypeError(
+                f"block #{i} must be a collection of labels; "
+                f"got {type(labels).__name__}"
+            ) from None
         bits = 0
-        for label in labels:
+        for label in members:
             try:
                 bits |= 1 << index[label]
             except (KeyError, TypeError):  # TypeError: an unhashable label

@@ -62,6 +62,21 @@ def coverings_bruteforce(labels):
             yield frozenset(fam)
 
 
+def covering_masks_scan(n):
+    """Every covering of range(n) as an ascending tuple of subset bit
+    vectors (bit i for element i), scanning the family masks 1, 2, 3, ...
+    in turn: family-mask bit j selects the subset whose bit vector is
+    j + 1, and a family is kept when its union is range(n)."""
+    full = (1 << n) - 1
+    for fam in range(1, 1 << full):
+        masks = tuple(j + 1 for j in range(full) if fam >> j & 1)
+        union = 0
+        for m in masks:
+            union |= m
+        if union == full:
+            yield masks
+
+
 def covering_count_closed_form(n):
     """Inclusion-exclusion over the elements missed by the union."""
     return sum(

@@ -11,14 +11,12 @@ from hypothesis import given, settings
 from covrough import (
     Block,
     Covering,
-    Universe,
     UniverseTooLarge,
     census,
     core_block,
     cov,
     default_universe,
     enumerate_coverings,
-    enumerate_coverings_over,
     is_cov_fixed_point,
     make_covering,
     neighborhood_map,
@@ -31,6 +29,7 @@ from covrough import oracle
 
 from .oracles import (
     covering_count_closed_form,
+    covering_masks_scan,
     coverings_bruteforce,
     family_mask,
     family_of,
@@ -49,6 +48,10 @@ FROZEN_CENSUS = {
     3: (109, 5, 45, 29, 29),
     4: (32297, 15, 2271, 355, 355),
 }
+
+
+def _masks(c):
+    return tuple(b.bits for b in c.blocks)
 
 
 class TestEnumerateCoverings:
@@ -81,11 +84,15 @@ class TestEnumerateCoverings:
             )
             assert rebuilt == c
 
-    def test_custom_universe(self):
-        u = Universe(("a", "b"))
-        got = list(enumerate_coverings_over(u))
-        assert len(got) == 5
-        assert all(c.universe == u for c in got)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_is_the_family_mask_scan(self, n):
+        got = [_masks(c) for c in enumerate_coverings(n)]
+        assert got == list(covering_masks_scan(n))
+
+    def test_order_at_five_starts_as_the_family_mask_scan(self):
+        # n=5 has 2**31 families: the first 2000 coverings are compared
+        got = [_masks(c) for c in islice(enumerate_coverings(5), 2000)]
+        assert got == list(islice(covering_masks_scan(5), 2000))
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):
@@ -147,7 +154,7 @@ def _labelled_scan(n):
     before it checked one covering per orbit."""
     totals = [0] * 5
     violations = []
-    for masks in oracle._mask_families(n):
+    for masks in covering_masks_scan(n):
         # a fresh image memo per covering checks every image law anew
         *flags, bad = oracle._check_covering(n, masks, {})
         for i, v in enumerate((1, *flags)):
@@ -354,7 +361,7 @@ class TestReductReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_labelled_covering(self, n):
-        for masks in oracle._mask_families(n):
+        for masks in covering_masks_scan(n):
             self._agree(masks)
 
     @settings(max_examples=200)

@@ -14,9 +14,9 @@ from covrough import (
     reduct,
 )
 from covrough._table import BitTable, table
-from covrough.oracle import _mask_families, _reduct_masks, _reducible_flags
+from covrough.oracle import _reduct_masks, _reducible_flags
 
-from .oracles import family_of, is_union_of_others
+from .oracles import covering_masks_scan, family_of, is_union_of_others
 from .strategies import coverings, planted_coverings
 
 
@@ -62,7 +62,7 @@ class TestBitParallelFlags:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_match_oracle_exhaustively(self, n):
-        for masks in _mask_families(n):
+        for masks in covering_masks_scan(n):
             assert BitTable(n, list(masks)).reducible == _reducible_flags(masks)
 
     @settings(max_examples=200)
@@ -147,7 +147,7 @@ def _assert_all_removal_orders_agree(n):
     Families reached mid-removal are coverings themselves, so one memo over
     all of them covers every removal order of every covering."""
     endpoint = {}
-    for masks in sorted(_mask_families(n), key=len):
+    for masks in sorted(covering_masks_scan(n), key=len):
         removable = [
             i for i, k in enumerate(masks) if _proper_subset_union(masks, k) == k
         ]

@@ -26,7 +26,7 @@ from covrough import (
     covering_to_dict,
     covering_to_json,
     default_universe,
-    enumerate_coverings_over,
+    enumerate_coverings,
     is_partition,
     make_covering,
     read_covering,
@@ -170,6 +170,20 @@ class TestMakeCovering:
         with pytest.raises(TypeError, match="#1"):
             make_covering(u3, [["1", "2"], "3"])
 
+    def test_non_iterable_block_names_index(self, u3):
+        message = "^block #1 must be a collection of labels; got int$"
+        with pytest.raises(TypeError, match=message):
+            make_covering(u3, [["1", "2"], 3])
+
+    def test_non_iterable_family_rejected(self, u3):
+        message = "^subsets must be an iterable of label collections; got int$"
+        with pytest.raises(TypeError, match=message):
+            make_covering(u3, 5)
+
+    def test_non_universe_rejected(self):
+        with pytest.raises(TypeError, match="^universe must be a Universe; got tuple$"):
+            make_covering(("1",), [["1"]])
+
     def test_unhashable_label_names_index(self, u3):
         with pytest.raises(UnknownElement, match=r"^block #0: unknown element \['1'\]$"):
             make_covering(u3, [[["1"]], ["2", "3"]])
@@ -199,6 +213,15 @@ class TestMakeCovering:
             Covering(u3, [3, 4])
         with pytest.raises(TypeError, match="#1 must be a Block; got frozenset"):
             Covering(u3, [Block(u3, 0b111), frozenset("1")])
+
+    def test_direct_constructor_rejects_non_iterable_family(self, u3):
+        message = "^blocks must be an iterable of Blocks; got int$"
+        with pytest.raises(TypeError, match=message):
+            Covering(u3, 5)
+
+    def test_direct_constructor_rejects_non_universe(self):
+        with pytest.raises(TypeError, match="^universe must be a Universe; got tuple$"):
+            Covering(("1",), [])
 
     def test_direct_constructor_rejects_duplicates(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #1"):
@@ -230,7 +253,7 @@ class TestCoveringMembership:
             u = default_universe(n)
             probes = [Block(u, m) for m in range(1, 1 << n)]
             twin, foreign = self._universes(u)
-            for c in enumerate_coverings_over(u):
+            for c in enumerate_coverings(n):
                 self._check(c, probes, twin, foreign)
 
     @given(planted_coverings())
