@@ -411,16 +411,13 @@ def _check_covering(
     routes = [nbh[x] if nbh[x] in maskset else None for x in range(n)]
     if scan != routes:
         bad.append("core-block-routes-agree")
-    for x, g in enumerate(scan):
-        if g is None:
-            continue
-        if g != nbh[x]:
-            bad.append("core-block-is-neighborhood")
-            break
-        if g & ~meets[x]:
-            bad.append("core-block-minimal")
+    cored = [(x, g) for x, g in enumerate(scan) if g is not None]
+    if any(g != nbh[x] for x, g in cored):
+        bad.append("core-block-is-neighborhood")
+    if any(g & ~meets[x] for x, g in cored):
+        bad.append("core-block-minimal")
 
-    core_set = {g for g in scan if g is not None}
+    core_set = {g for _, g in cored}
     # a block that is no core block has two or more members, each of them
     # in two or more blocks
     lonely = sum(1 << x for x in range(n) if deg[x] <= 1)

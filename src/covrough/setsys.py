@@ -62,14 +62,15 @@ class Universe:
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.names, str):
             raise InvalidUniverse(
                 "element labels must be a collection of strings, not one str"
             )
-        names = tuple(self.names)
+        names = tuple(
+            _iterate(self.names, "element labels must be a collection of strings")
+        )
         if not names:
             raise InvalidUniverse("a universe needs at least one element")
         if not all(isinstance(name, str) for name in names):
@@ -83,17 +84,6 @@ class Universe:
             )
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        # The value the dataclass would compute, once: every Block hash
-        # includes it, and rehashing 64 labels each time was measurable.
-        object.__setattr__(self, "_hash", hash((names,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild from the labels: a string hash, and so the cached one,
-        # differs between processes.
-        return type(self), (self.names,)
 
     @property
     def size(self) -> int:
@@ -107,11 +97,13 @@ class Universe:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownElement(f"unknown element {label!r}") from None
 
     def block(self, labels: Iterable[str]) -> "Block":
         """Build a block from element labels (order and repeats ignored)."""
+        if isinstance(labels, str):
+            raise TypeError("a block must be a collection of labels, not a str")
         bits = 0
         for label in labels:
             bits |= 1 << self.index(label)
@@ -124,7 +116,10 @@ class Universe:
         return iter(self.names)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._index
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable label
+            return False
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.names) + "}"
@@ -174,6 +169,10 @@ class Block:
         object.__setattr__(b, "universe", universe)
         object.__setattr__(b, "bits", bits)
         return b
+
+    def __hash__(self) -> int:
+        # Equal blocks have equal bits; same bits in another universe only collide.
+        return hash(self.bits)
 
     def members(self) -> tuple[str, ...]:
         """Element labels of this block, in universe order: its set bits,

@@ -187,13 +187,20 @@ def _cov_masks_without_singletons(n, masks, cov_masks=oracle._cov_masks):
     return tuple(m for m in cov_masks(n, masks) if m & (m - 1))
 
 
-# Broken law-checker helpers: the per-covering reducibility flags, and the
-# two checks behind the image laws.  Each break depends on the blocks only
-# up to relabelling, as the laws do, and the image-law ones break some
-# images and spare others of the same size, so a memo that mixed up two
-# images would show.
+def _core_scan_without_meets(n, masks, blkidx, lam, core_scan=oracle._core_scan):
+    # every core block then looks larger than its meet, at every element
+    scan, unique, _ = core_scan(n, masks, blkidx, lam)
+    return scan, unique, [0] * n
+
+
+# Broken law-checker helpers: the per-covering reducibility flags and meets,
+# and the two checks behind the image laws.  Each break depends on the
+# blocks only up to relabelling, as the laws do, and the image-law ones
+# break some images and spare others of the same size, so a memo that
+# mixed up two images would show.
 SABOTAGES = {
     "_reducible_flags": lambda masks: [False] * len(masks),
+    "_core_scan": _core_scan_without_meets,
     "_no_union_ok": _has_no_singleton,
     "_cov_masks": _cov_masks_without_singletons,
 }

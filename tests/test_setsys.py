@@ -21,6 +21,8 @@ from covrough import (
     UniverseTooLarge,
     UnknownElement,
     blocks_containing,
+    common_block_repeat_degree,
+    core_block,
     covering_from_dict,
     covering_from_json,
     covering_to_dict,
@@ -29,7 +31,10 @@ from covrough import (
     enumerate_coverings,
     is_partition,
     make_covering,
+    membership_repeat_degree,
+    neighborhood,
     read_covering,
+    setsys,
     write_covering,
 )
 
@@ -70,23 +75,82 @@ class TestUniverse:
         with pytest.raises(UnknownElement):
             u3.index("7")
 
+    def test_one_string_block_rejected(self):
+        # "ab" is a label of its own, not the labels "a" and "b"
+        u = Universe(("a", "b", "ab"))
+        assert u.block(["ab"]).members() == ("ab",)
+        with pytest.raises(TypeError, match="collection of labels, not a str"):
+            u.block("ab")
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda c: Universe(5), TypeError, "strings; got int$", id="universe-int"
+            ),
+            pytest.param(
+                lambda c: Universe(None),
+                TypeError,
+                "strings; got NoneType$",
+                id="universe-none",
+            ),
+            *(
+                pytest.param(call, UnknownElement, r"unknown element \['1'\]", id=name)
+                for name, call in [
+                    ("index", lambda c: c.universe.index(["1"])),
+                    ("block", lambda c: c.universe.block([["1"]])),
+                    ("neighborhood", lambda c: neighborhood(c, ["1"])),
+                    ("core_block", lambda c: core_block(c, ["1"])),
+                    ("blocks_containing", lambda c: blocks_containing(c, ["1"])),
+                    ("membership", lambda c: membership_repeat_degree(c, ["1"])),
+                    ("common", lambda c: common_block_repeat_degree(c, "1", ["1"])),
+                ]
+            ),
+        ],
+    )
+    def test_bad_universe_or_label_is_named(
+        self, overlapping_pair, call, error, message
+    ):
+        with pytest.raises(error, match=message):
+            call(overlapping_pair)
+
+    def test_unhashable_label_is_not_a_member(self, u3):
+        assert ["1"] not in u3
+        assert ["1"] not in u3.block(["1"])
+
     def test_hash_is_the_dataclass_value(self):
         names = tuple(f"e{i}" for i in range(64))
         u, v = Universe(names), Universe(tuple(list(names)))
         assert u is not v and u == v
         assert hash(u) == hash(v) == hash((u.names,))
         a, b = Block(u, 0b1011), Block(v, 0b1011)
-        assert a == b and hash(a) == hash(b)
+        assert a == b and hash(a) == hash(b) == hash(a.bits)
         assert {a: 1}[b] == 1
 
+    def test_only_block_defines_a_hash(self):
+        # The dataclass writes the universe's hash and pickling is the
+        # default; a block hashes its bit vector alone.
+        assert not hasattr(Universe(("a",)), "_hash")
+        assert "__reduce__" not in vars(Universe)
+        assert Universe.__hash__.__code__.co_filename != setsys.__file__
+        assert Block.__hash__.__code__.co_filename == setsys.__file__
+
     def test_hash_survives_pickling_into_another_process(self):
-        # String hashes differ between processes; the unpickled universe
-        # must hash as one built there.
+        # String hashes differ between processes; each unpickled value
+        # must equal, and hash as, one built there from its labels.
         u = Universe(("a", "b", "c"))
+        c = make_covering(u, [["a", "c"], ["b"], ["c"]])
+        neighborhood(c, "a")  # the covering goes with its bit table
         script = (
             "import pickle, sys; "
-            "u = pickle.loads(sys.stdin.buffer.read()); "
-            "print(hash(u) == hash((u.names,)), u.index('c'))"
+            "from covrough import Universe, make_covering, neighborhood; "
+            "got = pickle.loads(sys.stdin.buffer.read()); "
+            "u = Universe(got[0].names); "
+            "built = (u, u.block(got[1].members()), "
+            "make_covering(u, [b.members() for b in got[2]])); "
+            "print(*[x == y and hash(x) == hash(y) for x, y in zip(got, built)], "
+            "hash(got[0]) == hash((u.names,)), got[0].index('c'), "
+            "neighborhood(got[2], 'a'))"
         )
         env = {**os.environ, "PYTHONHASHSEED": "random"}
         env["PYTHONPATH"] = os.pathsep.join(
@@ -94,13 +158,13 @@ class TestUniverse:
         )
         done = subprocess.run(
             [sys.executable, "-c", script],
-            input=pickle.dumps(u),
+            input=pickle.dumps((u, c.blocks[-1], c)),
             capture_output=True,
             env=env,
             timeout=60,
             check=True,
         )
-        assert done.stdout.split() == [b"True", b"2"]
+        assert done.stdout.split() == [b"True"] * 4 + [b"2", b"{a,", b"c}"]
 
 
 class TestBlock:
