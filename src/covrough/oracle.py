@@ -17,10 +17,12 @@ a winner", 1978): a family mask is canonical when no relabelling maps it to
 a larger integer, and a depth-first walk that adds one subset below the
 lowest chosen one reaches each canonical mask exactly once.  There are 1, 4,
 34, 1952 and 18664632 of them for n = 1..5 (OEIS A055621), against 1, 5,
-109, 32297 and 2147321017 coverings (OEIS A003465).  On one core of an
-Intel Xeon (Python 3.11), ``verify_laws(4)`` takes about 0.13 s this way,
-where the labelled scan took about 2.0 s, and ``verify_laws(5)`` takes
-about 53 minutes.
+109, 32297 and 2147321017 coverings (OEIS A003465).  The walk also carries
+each covering's per-element tables and proper-subset unions down from its
+parent, so the law checker does not rebuild them.  On one core of a
+2-core, shared Intel Xeon (Python 3.11), ``verify_laws(4)`` takes about
+0.11 s this way, where checking all 32297 labelled coverings takes about
+2.7 s, and ``verify_laws(5)`` takes about 40 minutes.
 
 The law checker works on raw bit vectors rather than on the public types;
 the public operations are exercised against it by the test suite.
@@ -33,7 +35,7 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from operator import and_, or_
+from operator import and_, eq, or_
 from typing import Iterable, Iterator
 
 from ._table import table
@@ -44,13 +46,17 @@ from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
 
 # Enumeration is capped where exhaustion stops being a desk-scale job:
 # n=5 already yields on the order of 2**31 candidate families, and even
-# their 18664632 orbits take 53 minutes to verify.
+# their 18664632 orbits take about 40 minutes to verify.
 MAX_ENUMERATION_SIZE = 5
 MAX_PREIMAGE_SIZE = 4
 
 # Coverings up to relabelling, the representatives verify_laws checks, per
 # universe size (OEIS A055621).
 _ORBIT_COUNTS = {1: 1, 2: 4, 3: 34, 4: 1952, 5: 18664632}
+
+# A covering's per-element neighborhoods and block-index sets, and its
+# per-block proper-subset unions, as the orbit walk carries them.
+_CoveringState = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 # verify_laws logs its progress about this often, in seconds of wall time,
 # and reads the clock once per this many representatives.
@@ -108,6 +114,12 @@ def default_universe(n: int) -> Universe:
     return Universe(tuple(str(i) for i in range(1, n + 1)))
 
 
+def _meet_columns(n: int, subsets: Iterable[int]) -> list[tuple[int, ...]]:
+    """Per subset, over the elements x: the subset where it holds x and -1,
+    which every intersection leaves alone, elsewhere."""
+    return [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in subsets]
+
+
 def _families(
     n: int, subsets: list[int]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -119,7 +131,7 @@ def _families(
     Depth first: each family is followed by those that add one subset
     below its lowest member, lowest first, which is counting up.
     """
-    meets = [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in subsets]
+    meets = _meet_columns(n, subsets)
     # (index of the highest subset still allowed, intersections, masks)
     stack = [(len(subsets) - 1, (-1,) * n, ())]
     while stack:
@@ -185,12 +197,29 @@ def _relabelling_columns(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(columns)
 
 
-def _orbit_representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """One covering per relabelling orbit, with the size of its orbit.
+@functools.cache  # built on first use per n, never at import
+def _element_columns(
+    n: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Per family-mask bit j, over the elements x, for the subset j + 1:
+    its ``_meet_columns`` entry, and whether it holds x, as 1 or 0."""
+    subsets = range(1, 1 << n)
+    member = tuple(tuple(m >> x & 1 for x in range(n)) for m in subsets)
+    return tuple(_meet_columns(n, subsets)), member
 
-    Yields ``(masks, weight)``: ``masks`` is the ascending tuple of subset
-    bit vectors of the orbit's canonical family, the one whose family mask
-    is the largest integer in the orbit, and ``weight`` is n!/|Aut|.
+
+def _orbit_representatives(
+    n: int,
+) -> Iterator[tuple[tuple[int, ...], int, _CoveringState]]:
+    """One covering per relabelling orbit, with the size of its orbit and
+    the law checker's per-covering state.
+
+    Yields ``(masks, weight, state)``: ``masks`` is the ascending tuple of
+    subset bit vectors of the orbit's canonical family, the one whose
+    family mask is the largest integer in the orbit, and ``weight`` is
+    n!/|Aut|.  ``state`` is ``(nbh, blkidx, unions)``: the two tables
+    ``_element_tables`` computes from ``masks``, and per block its
+    ``_subset_union`` among them.
 
     Orderly generation: dropping the lowest bit of a canonical mask leaves
     a canonical mask, so a depth-first walk that adds one bit below the
@@ -201,14 +230,23 @@ def _orbit_representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     its images exceeds it, and the images equal to it count Aut less the
     identity.  A branch whose union cannot reach the whole universe with
     the smaller subsets still to come is cut.
+
+    The checker's state is carried down the same way.  The added subset s
+    is below every chosen block and becomes block 0: each element's
+    neighborhood meets s if s holds it, each element's block-index set
+    shifts up by one and takes bit 0 if s holds it, and s, a proper subset
+    of every chosen block that contains it, joins those blocks'
+    proper-subset unions.  s itself has no proper-subset block.
     """
     columns = _relabelling_columns(n)
+    meets, member = _element_columns(n)
     full = (1 << n) - 1
     order = factorial(n)
-    # (family mask, bits still allowed, chosen subsets, their union, images)
-    stack = [(0, full, (), 0, [0] * (order - 1))]
+    # (family mask, bits still allowed, chosen subsets, their union, images,
+    # neighborhoods, block-index sets, proper-subset unions)
+    stack = [(0, full, (), 0, [0] * (order - 1), (-1,) * n, (0,) * n, ())]
     while stack:
-        family, low, masks, union, images = stack.pop()
+        family, low, masks, union, images, nbh, blkidx, unions = stack.pop()
         for j in range(low):
             # only subsets 1..j may follow; cut if they cannot finish the cover
             covered = union | (j + 1)
@@ -218,10 +256,17 @@ def _orbit_representatives(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
             child_images = list(map(or_, images, columns[j]))
             if max(child_images, default=0) > child:
                 continue
-            child_masks = (j + 1,) + masks
+            s = j + 1
+            state = (
+                tuple(map(and_, nbh, meets[j])),
+                tuple([b << 1 | i for b, i in zip(blkidx, member[j])]),
+                (0,)
+                + tuple(u | s if s & ~k == 0 else u for k, u in zip(masks, unions)),
+            )
+            child_masks = (s,) + masks
             if covered == full:
-                yield child_masks, order // (child_images.count(child) + 1)
-            stack.append((child, j, child_masks, covered, child_images))
+                yield child_masks, order // (child_images.count(child) + 1), state
+            stack.append((child, j, child_masks, covered, child_images, *state))
 
 
 # --- raw bit-vector law checks ----------------------------------------------
@@ -258,9 +303,14 @@ def _subset_union(k: int, masks: Iterable[int]) -> int:
     return union
 
 
-def _reducible_flags(masks: tuple[int, ...]) -> list[bool]:
-    """Per block: does the union of its proper-subset blocks rebuild it."""
-    return [_subset_union(k, masks) == k for k in masks]
+def _reducible_flags(
+    masks: tuple[int, ...], unions: Iterable[int] | None = None
+) -> list[bool]:
+    """Per block: does the union of its proper-subset blocks rebuild it.
+    ``unions`` holds those unions, one per block, if already known."""
+    if unions is None:
+        unions = [_subset_union(k, masks) for k in masks]
+    return list(map(eq, unions, masks))
 
 
 def _reduct_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
@@ -360,19 +410,46 @@ def _core_scan(
     return result, unique, meets
 
 
+def _lambda_laws(lam: list[list[int]], deg: list[int]) -> list[str]:
+    """The laws of the pair-degree matrix alone, row by row: it is
+    symmetric, its diagonal holds the degrees, and no entry exceeds the
+    smaller degree of its pair, that is, no row x holds more than deg(x)
+    and no column y more than deg(y)."""
+    bad = []
+    columns = list(map(list, zip(*lam)))
+    if columns != lam:
+        bad.append("lambda-symmetric")
+    if [row[x] for x, row in enumerate(lam)] != deg:
+        bad.append("lambda-diagonal")
+    if any(max(row) > d for row, d in zip(lam, deg)) or any(
+        max(column) > d for column, d in zip(columns, deg)
+    ):
+        bad.append("lambda-bounded")
+    return bad
+
+
 def _check_covering(
-    n: int, masks: tuple[int, ...], image_laws: dict[tuple[int, ...], list[str]]
+    n: int,
+    masks: tuple[int, ...],
+    image_laws: dict[tuple[int, ...], list[str]],
+    state: _CoveringState | None = None,
 ) -> tuple[bool, bool, bool, bool, list[str]]:
     """Run every law against one covering given as raw bit vectors.
 
     The per-covering laws are checked on every call.  The image laws
     (``_image_laws``) read only the neighborhoods family, which many
     coverings share: ``image_laws`` maps each image checked so far in the
-    run to the laws it breaks.  Returns (is_partition, is_irreducible,
-    is_invariable, is_fixed_point, violated law names).
+    run to the laws it breaks.  ``state`` is the covering's state as the
+    orbit walk carries it; without it, it is computed from ``masks``.
+    Returns (is_partition, is_irreducible, is_invariable, is_fixed_point,
+    violated law names).
     """
     bad: list[str] = []
-    nbh, blkidx = _element_tables(n, masks)
+    if state is None:
+        nbh, blkidx = _element_tables(n, masks)
+        unions = None
+    else:
+        nbh, blkidx, unions = state
     deg = [s.bit_count() for s in blkidx]
 
     # every element sits inside its own neighborhood
@@ -392,14 +469,7 @@ def _check_covering(
                 consistent = False
     if not consistent:
         bad.append("lambda-consistent")
-    if any(lam[x][y] != lam[y][x] for x in range(n) for y in range(n)):
-        bad.append("lambda-symmetric")
-    if any(lam[x][x] != deg[x] for x in range(n)):
-        bad.append("lambda-diagonal")
-    if any(
-        lam[x][y] > min(deg[x], deg[y]) for x in range(n) for y in range(n)
-    ):
-        bad.append("lambda-bounded")
+    bad += _lambda_laws(lam, deg)
     if not _degrees_match_blocks(blkidx, lam):
         bad.append("degree-equality-iff-same-blocks")
 
@@ -426,7 +496,7 @@ def _check_covering(
     ):
         bad.append("non-core-block-structure")
 
-    reducible = _reducible_flags(masks)
+    reducible = _reducible_flags(masks, unions)
     if any(r and masks[j] in core_set for j, r in enumerate(reducible)):
         bad.append("reducible-not-core")
     all_cored = all(g is not None for g in scan)
@@ -478,7 +548,7 @@ def verify_laws(n: int) -> VerificationSummary:
     once per member of the orbit, so the totals are those of all coverings;
     each law a representative breaks is reported once, for the orbit.
     Streams the representatives, so memory stays flat.  n = 4 takes about
-    0.13 s (1952 representatives for 32297 coverings), n = 5 about 53
+    0.11 s (1952 representatives for 32297 coverings), n = 5 about 40
     minutes on one core (18664632 representatives); n above 5 is refused.
 
     About every 10 s of wall time, a run logs one INFO record to the
@@ -496,14 +566,14 @@ def verify_laws(n: int) -> VerificationSummary:
     image_laws: dict[tuple[int, ...], list[str]] = {}
     # the representatives done and the clock at the last progress record
     last_done, last_time = 0, time.perf_counter()
-    for done, (masks, weight) in enumerate(_orbit_representatives(n), 1):
+    for done, (masks, weight, state) in enumerate(_orbit_representatives(n), 1):
         if not done % _PROGRESS_STRIDE:
             now = time.perf_counter()
             if now >= last_time + _PROGRESS_INTERVAL_S:
                 rate = (done - last_done) / (now - last_time)
                 _report_progress(n, done, rate)
                 last_done, last_time = done, now
-        p, irr, inv, fix, bad = _check_covering(n, masks, image_laws)
+        p, irr, inv, fix, bad = _check_covering(n, masks, image_laws, state)
         total += weight
         partitions += p * weight
         irreducible += irr * weight

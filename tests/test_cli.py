@@ -195,7 +195,7 @@ class TestVerifyCommand:
         from covrough import oracle
 
         monkeypatch.setattr(
-            oracle, "_reducible_flags", lambda masks: [False] * len(masks)
+            oracle, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
         )
         assert run(["verify", "--n", "2"]) == 1
         out = capsys.readouterr().out

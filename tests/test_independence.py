@@ -15,8 +15,8 @@ from covrough import oracle
 # oracle function they reach by name is checked with them.
 ROOTS = ("_check_covering", "_orbit_representatives")
 
-# The checker's helpers when the closure was introduced: a closure that
-# lost one of them would no longer follow the calls.
+# The helpers of the checker and the generator: a closure that lost one of
+# them would no longer follow the calls.
 KNOWN = {
     "_check_covering",
     "_element_tables",
@@ -31,6 +31,9 @@ KNOWN = {
     "_core_scan",
     "_relabelling_columns",
     "_orbit_representatives",
+    "_lambda_laws",
+    "_element_columns",
+    "_meet_columns",
 }
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import islice
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -125,13 +126,13 @@ class TestOrbitRepresentatives:
         reps = list(oracle._orbit_representatives(n))
         assert len(reps) == ORBIT_COUNTS[n]
         seen = set()
-        for masks, weight in reps:
+        for masks, weight, _ in reps:
             assert list(masks) == sorted(set(masks))
             orbit = orbit_bruteforce(family_of_masks(masks), n)
             assert weight == len(orbit)
             assert seen.isdisjoint(orbit), f"{masks} relabels an earlier one"
             seen |= orbit
-        assert sum(w for _, w in reps) == covering_count_closed_form(n)
+        assert sum(w for _, w, _ in reps) == covering_count_closed_form(n)
         assert len(seen) == covering_count_closed_form(n)
 
     def test_library_table_of_orbit_counts(self):
@@ -140,13 +141,114 @@ class TestOrbitRepresentatives:
     def test_first_shard_at_five(self):
         # n=5 is too large to walk in a test: the first 2000
         # representatives are checked one by one
-        for masks, weight in islice(oracle._orbit_representatives(5), 2000):
+        for masks, weight, _ in islice(oracle._orbit_representatives(5), 2000):
             fam = family_of_masks(masks)
             assert frozenset().union(*fam) == frozenset(range(5))
             orbit = orbit_bruteforce(fam, 5)
             assert family_mask(fam) == max(map(family_mask, orbit))
             assert weight == len(orbit)
             assert oracle._check_covering(5, masks, {})[4] == []
+
+    @pytest.mark.parametrize(
+        "n, count", [(1, 1), (2, 4), (3, 34), (4, 1952), (5, 2000)]
+    )
+    def test_carried_state(self, n, count):
+        # the state the walk carries down is the state the checker would
+        # compute from the masks, and the checker reads it to the same
+        # result; n=5 is checked on its first 2000 representatives
+        reps = list(islice(oracle._orbit_representatives(n), count))
+        assert len(reps) == count
+        for masks, _, state in reps:
+            nbh, blkidx, unions = state
+            assert (list(nbh), list(blkidx)) == oracle._element_tables(n, masks)
+            flags = oracle._reducible_flags(masks)
+            assert oracle._reducible_flags(masks, unions) == flags
+            got = oracle._check_covering(n, masks, {}, state)
+            assert got == oracle._check_covering(n, masks, {})
+
+
+def _lambda_laws_definition(lam, deg):
+    """The pair-degree laws as the checker stated them entry by entry."""
+    n = len(lam)
+    bad = []
+    if any(lam[x][y] != lam[y][x] for x in range(n) for y in range(n)):
+        bad.append("lambda-symmetric")
+    if any(lam[x][x] != deg[x] for x in range(n)):
+        bad.append("lambda-diagonal")
+    if any(lam[x][y] > min(deg[x], deg[y]) for x in range(n) for y in range(n)):
+        bad.append("lambda-bounded")
+    return bad
+
+
+@st.composite
+def _matrices(draw):
+    """A square integer matrix and, drawn apart from it, a degree per row."""
+    n = draw(st.integers(1, 5))
+    cells = st.integers(-1, 6)
+    row = st.lists(cells, min_size=n, max_size=n)
+    lam = draw(st.lists(row, min_size=n, max_size=n))
+    deg = draw(st.lists(cells, min_size=n, max_size=n))
+    return lam, deg
+
+
+@st.composite
+def _planted_matrices(draw):
+    """A matrix that keeps every pair-degree law, or one with a single
+    planted break, with the laws the break must fire."""
+    n = draw(st.integers(1, 5))
+    deg = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    lam = [[0] * n for _ in range(n)]
+    for x in range(n):
+        lam[x][x] = deg[x]
+        for y in range(x + 1, n):
+            lam[x][y] = lam[y][x] = draw(st.integers(0, min(deg[x], deg[y])))
+    kinds = ["none", "diagonal"]
+    if n > 1:
+        kinds.append("asymmetric")
+    if len(set(deg)) > 1:
+        kinds += ["bounded", "bounded-row", "bounded-column"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return lam, deg, []
+    if kind == "diagonal":
+        # below the degree, so that the entry stays in bounds
+        x = draw(st.integers(0, n - 1))
+        lam[x][x] = draw(st.integers(0, deg[x] - 1))
+        return lam, deg, ["lambda-diagonal"]
+    if kind == "asymmetric":
+        x, y = draw(st.permutations(range(n)))[:2]
+        top = min(deg[x], deg[y])
+        lam[x][y] = draw(st.integers(0, top).filter(lambda v: v != lam[y][x]))
+        return lam, deg, ["lambda-symmetric"]
+    # x has the smaller degree: an entry v with deg(x) < v <= deg(y) is
+    # out of bounds in row x and column x, and in bounds for y
+    pairs = [(x, y) for x in range(n) for y in range(n) if deg[x] < deg[y]]
+    x, y = draw(st.sampled_from(pairs))
+    v = draw(st.integers(deg[x] + 1, deg[y]))
+    if kind == "bounded":  # both entries of the pair, so still symmetric
+        lam[x][y] = lam[y][x] = v
+        return lam, deg, ["lambda-bounded"]
+    if kind == "bounded-row":  # only row x sees it, column y does not
+        lam[x][y] = v
+    else:  # only column x sees it, row y does not
+        lam[y][x] = v
+    return lam, deg, ["lambda-symmetric", "lambda-bounded"]
+
+
+class TestLambdaLaws:
+    """The row-by-row pair-degree laws against their entry-by-entry
+    definition."""
+
+    @given(_matrices())
+    def test_any_matrix(self, drawn):
+        lam, deg = drawn
+        assert oracle._lambda_laws(lam, deg) == _lambda_laws_definition(lam, deg)
+
+    @given(_planted_matrices())
+    def test_each_law_fires_on_its_own_break(self, drawn):
+        lam, deg, expected = drawn
+        assert _lambda_laws_definition(lam, deg) == expected
+        assert oracle._lambda_laws(lam, deg) == expected
 
 
 def _labelled_scan(n):
@@ -199,7 +301,7 @@ def _core_scan_without_meets(n, masks, blkidx, lam, core_scan=oracle._core_scan)
 # break some images and spare others of the same size, so a memo that
 # mixed up two images would show.
 SABOTAGES = {
-    "_reducible_flags": lambda masks: [False] * len(masks),
+    "_reducible_flags": lambda masks, unions=None: [False] * len(masks),
     "_core_scan": _core_scan_without_meets,
     "_no_union_ok": _has_no_singleton,
     "_cov_masks": _cov_masks_without_singletons,
@@ -333,7 +435,7 @@ class TestVerifyLaws:
         from covrough import oracle
 
         monkeypatch.setattr(
-            oracle, "_reducible_flags", lambda masks: [False] * len(masks)
+            oracle, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
         )
         summary = oracle.verify_laws(2)
         laws = {law for _, law in summary.violations}
