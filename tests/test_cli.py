@@ -192,10 +192,10 @@ class TestVerifyCommand:
         assert log.level == logging.NOTSET
 
     def test_exit_one_when_laws_fail(self, capsys, monkeypatch):
-        from covrough import oracle
+        from covrough import _laws
 
         monkeypatch.setattr(
-            oracle, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
+            _laws, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
         )
         assert run(["verify", "--n", "2"]) == 1
         out = capsys.readouterr().out

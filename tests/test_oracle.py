@@ -26,7 +26,7 @@ from covrough import (
     summary_to_dict,
     verify_laws,
 )
-from covrough import oracle
+from covrough import _laws, oracle
 
 from .oracles import (
     covering_count_closed_form,
@@ -123,7 +123,7 @@ class TestOrbitRepresentatives:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_representative_per_orbit(self, n):
-        reps = list(oracle._orbit_representatives(n))
+        reps = list(_laws._orbit_representatives(n))
         assert len(reps) == ORBIT_COUNTS[n]
         seen = set()
         for masks, weight, _ in reps:
@@ -136,18 +136,18 @@ class TestOrbitRepresentatives:
         assert len(seen) == covering_count_closed_form(n)
 
     def test_library_table_of_orbit_counts(self):
-        assert {n: oracle._ORBIT_COUNTS[n] for n in ORBIT_COUNTS} == ORBIT_COUNTS
+        assert {n: _laws._ORBIT_COUNTS[n] for n in ORBIT_COUNTS} == ORBIT_COUNTS
 
     def test_first_shard_at_five(self):
         # n=5 is too large to walk in a test: the first 2000
         # representatives are checked one by one
-        for masks, weight, _ in islice(oracle._orbit_representatives(5), 2000):
+        for masks, weight, _ in islice(_laws._orbit_representatives(5), 2000):
             fam = family_of_masks(masks)
             assert frozenset().union(*fam) == frozenset(range(5))
             orbit = orbit_bruteforce(fam, 5)
             assert family_mask(fam) == max(map(family_mask, orbit))
             assert weight == len(orbit)
-            assert oracle._check_covering(5, masks, {})[4] == []
+            assert _laws._check_covering(5, masks, {})[4] == []
 
     @pytest.mark.parametrize(
         "n, count", [(1, 1), (2, 4), (3, 34), (4, 1952), (5, 2000)]
@@ -156,15 +156,15 @@ class TestOrbitRepresentatives:
         # the state the walk carries down is the state the checker would
         # compute from the masks, and the checker reads it to the same
         # result; n=5 is checked on its first 2000 representatives
-        reps = list(islice(oracle._orbit_representatives(n), count))
+        reps = list(islice(_laws._orbit_representatives(n), count))
         assert len(reps) == count
         for masks, _, state in reps:
             nbh, blkidx, unions = state
-            assert (list(nbh), list(blkidx)) == oracle._element_tables(n, masks)
-            flags = oracle._reducible_flags(masks)
-            assert oracle._reducible_flags(masks, unions) == flags
-            got = oracle._check_covering(n, masks, {}, state)
-            assert got == oracle._check_covering(n, masks, {})
+            assert (list(nbh), list(blkidx)) == _laws._element_tables(n, masks)
+            flags = _laws._reducible_flags(masks)
+            assert _laws._reducible_flags(masks, unions) == flags
+            got = _laws._check_covering(n, masks, {}, state)
+            assert got == _laws._check_covering(n, masks, {})
 
 
 def _lambda_laws_definition(lam, deg):
@@ -242,13 +242,13 @@ class TestLambdaLaws:
     @given(_matrices())
     def test_any_matrix(self, drawn):
         lam, deg = drawn
-        assert oracle._lambda_laws(lam, deg) == _lambda_laws_definition(lam, deg)
+        assert _laws._lambda_laws(lam, deg) == _lambda_laws_definition(lam, deg)
 
     @given(_planted_matrices())
     def test_each_law_fires_on_its_own_break(self, drawn):
         lam, deg, expected = drawn
         assert _lambda_laws_definition(lam, deg) == expected
-        assert oracle._lambda_laws(lam, deg) == expected
+        assert _laws._lambda_laws(lam, deg) == expected
 
 
 def _labelled_scan(n):
@@ -258,7 +258,7 @@ def _labelled_scan(n):
     violations = []
     for masks in covering_masks_scan(n):
         # a fresh image memo per covering checks every image law anew
-        *flags, bad = oracle._check_covering(n, masks, {})
+        *flags, bad = _laws._check_covering(n, masks, {})
         for i, v in enumerate((1, *flags)):
             totals[i] += v
         violations.extend((masks, law) for law in bad)
@@ -284,12 +284,12 @@ def _has_no_singleton(family):
     return all(m & (m - 1) for m in family)
 
 
-def _cov_masks_without_singletons(n, masks, cov_masks=oracle._cov_masks):
+def _cov_masks_without_singletons(n, masks, cov_masks=_laws._cov_masks):
     # cov_masks is bound to the real helper before any test patches it
     return tuple(m for m in cov_masks(n, masks) if m & (m - 1))
 
 
-def _core_scan_without_meets(n, masks, blkidx, lam, core_scan=oracle._core_scan):
+def _core_scan_without_meets(n, masks, blkidx, lam, core_scan=_laws._core_scan):
     # every core block then looks larger than its meet, at every element
     scan, unique, _ = core_scan(n, masks, blkidx, lam)
     return scan, unique, [0] * n
@@ -334,7 +334,7 @@ class TestVerifyLaws:
     def test_one_violation_per_violating_orbit(self, monkeypatch, n, name):
         # a representative's image laws come from the run's memo, the
         # labelled scan checks them afresh on every covering
-        monkeypatch.setattr(oracle, name, SABOTAGES[name])
+        monkeypatch.setattr(_laws, name, SABOTAGES[name])
         totals, labelled = _labelled_scan(n)
         assert labelled
         s = verify_laws(n)
@@ -348,7 +348,7 @@ class TestVerifyLaws:
 
     def test_image_memo_lasts_one_run(self, monkeypatch):
         assert verify_laws(3).violations == ()
-        monkeypatch.setattr(oracle, "_no_union_ok", lambda family: False)
+        monkeypatch.setattr(_laws, "_no_union_ok", lambda family: False)
         laws = {law for _, law in verify_laws(3).violations}
         assert "cov-no-union" in laws
 
@@ -432,10 +432,8 @@ class TestVerifyLaws:
         # sabotage reducibility detection and make sure the harness notices:
         # a covering with a redundant union block then counts as invariable
         # without being a fixed point
-        from covrough import oracle
-
         monkeypatch.setattr(
-            oracle, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
+            _laws, "_reducible_flags", lambda masks, unions=None: [False] * len(masks)
         )
         summary = oracle.verify_laws(2)
         laws = {law for _, law in summary.violations}
@@ -449,9 +447,7 @@ class TestVerifyLaws:
     def test_wrong_reduct_is_reported(self, monkeypatch):
         # an iterative reduct that removes nothing leaves the neighborhoods
         # alone but disagrees with the one-pass filter on reducible coverings
-        from covrough import oracle
-
-        monkeypatch.setattr(oracle, "_reduct_masks", lambda masks: masks)
+        monkeypatch.setattr(_laws, "_reduct_masks", lambda masks: masks)
         laws = {law for _, law in oracle.verify_laws(2).violations}
         assert laws == {"reduct-one-pass"}
 
@@ -466,7 +462,7 @@ class TestReductReference:
             return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
 
         expected = reduct_restarting([members(m) for m in masks])
-        assert [members(m) for m in oracle._reduct_masks(masks)] == expected
+        assert [members(m) for m in _laws._reduct_masks(masks)] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_labelled_covering(self, n):
@@ -654,7 +650,7 @@ class TestDerivedCoveringsRevalidate:
 
     def test_violation_records(self, monkeypatch):
         name = "_reducible_flags"
-        monkeypatch.setattr(oracle, name, SABOTAGES[name])
+        monkeypatch.setattr(_laws, name, SABOTAGES[name])
         violations = verify_laws(3).violations
         assert violations
         for c, _ in violations:

@@ -14,7 +14,7 @@ from covrough import (
     reduct,
 )
 from covrough._table import BitTable, table
-from covrough.oracle import _reduct_masks, _reducible_flags
+from covrough._laws import _reduct_masks, _reducible_flags
 
 from .oracles import covering_masks_scan, family_of, is_union_of_others
 from .strategies import coverings, planted_coverings
