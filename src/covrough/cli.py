@@ -29,9 +29,7 @@ import sys
 
 from .errors import CoveringError
 from .neighborhoods import cov, is_cov_fixed_point, quick_reject_neighborhoods
-from .oracle import preimages, summary_to_dict, verify_laws
 from .reduction import reduct
-from .report import analyze, render_report, report_to_json
 from .setsys import Covering, covering_to_json, read_covering
 
 
@@ -41,6 +39,8 @@ def _cmd_cov(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .report import analyze, render_report, report_to_json
+
     report = analyze(args.covering, include_lambda=args.lambda_matrix)
     if args.json:
         print(report_to_json(report))
@@ -67,6 +67,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_preimages(args: argparse.Namespace) -> int:
+    from .oracle import preimages
+
     for p in preimages(args.covering, limit=args.limit):
         print(covering_to_json(p))
     return 0
@@ -90,8 +92,10 @@ def _render_summary(summary) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # The oracle logs its progress on long runs; show it, one line per
     # record, on this command's stderr only.  Imported here, like the
-    # oracle's own import, so that the other commands start without it.
+    # oracle itself, so that the other commands start without them.
     import logging
+
+    from .oracle import summary_to_dict, verify_laws
 
     log = logging.getLogger("covrough.oracle")
     handler = logging.StreamHandler(sys.stderr)

@@ -13,14 +13,13 @@ says that N(x) is a block, the same flag the invariability test reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._table import pick, table
 from .setsys import Block, Covering
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Full degree tables of a covering.
 
     ``membership`` maps each element to its membership repeat degree;
@@ -32,8 +31,7 @@ class DegreeProfile:
     common: dict[tuple[str, str], int]
 
 
-@dataclass(frozen=True)
-class CoreBlockAssignment:
+class CoreBlockAssignment(NamedTuple):
     """Core block of each element (``None`` where no core block exists) and
     the set of blocks that are the core block of at least one element."""
 

@@ -11,14 +11,13 @@ arise as neighborhoods of anything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._table import table
 from .setsys import Block, Covering
 
 
-@dataclass(frozen=True)
-class NeighborhoodMap:
+class NeighborhoodMap(NamedTuple):
     """Per-element neighborhoods plus their deduplicated family."""
 
     covering: Covering

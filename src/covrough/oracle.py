@@ -6,7 +6,9 @@ Enumeration and the preimage search share one depth-first walk over the
 families of a list of subsets, in ascending family-mask order: coverings
 are the families of all 2**n - 1 nonempty subsets whose union is the
 universe.  The order is deterministic and simple enough to re-implement
-independently, which the test suite does.
+independently, which the test suite does.  Its universes are
+``setsys.default_universe(n)``, labelled "1".."n", which this module
+imports under the same name.
 
 The laws themselves, and the walk over one covering per relabelling orbit
 that ``verify_laws`` drives, live in ``_laws``, which imports only the
@@ -16,9 +18,8 @@ standard library.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._laws import (
     _ORBIT_COUNTS,
@@ -30,7 +31,14 @@ from ._table import table
 from .errors import UniverseTooLarge
 from .neighborhoods import cov, is_cov_fixed_point
 from .reduction import is_invariable
-from .setsys import Block, Covering, Universe, covering_to_dict, is_partition
+from .setsys import (
+    Block,
+    Covering,
+    Universe,
+    covering_to_dict,
+    default_universe,
+    is_partition,
+)
 
 # Enumeration is capped where exhaustion stops being a desk-scale job:
 # n=5 already yields on the order of 2**31 candidate families, and even
@@ -44,8 +52,7 @@ _PROGRESS_INTERVAL_S = 10.0
 _PROGRESS_STRIDE = 1024
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One enumerated covering with its classification flags and image."""
 
     covering: Covering
@@ -56,8 +63,7 @@ class CensusRow:
     cov_image: Covering
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     """Counts per classification flag plus every law violation found.
 
     The counts are over all coverings.  ``violations`` holds one
@@ -87,11 +93,6 @@ def summary_to_dict(s: VerificationSummary) -> dict:
             {"covering": covering_to_dict(c), "law": law} for c, law in s.violations
         ],
     }
-
-
-def default_universe(n: int) -> Universe:
-    """Universe labeled "1".."n", matching the worked examples."""
-    return Universe(tuple(str(i) for i in range(1, n + 1)))
 
 
 def _families(
@@ -212,8 +213,8 @@ def _report_progress(n: int, done: int, rate: float) -> None:
     families with the most blocks first, so the mean rate so far
     understates the current one and its ETA would run high."""
     # Imported here, as only runs that last an interval log: importing
-    # logging with the module added about 6 ms (Python 3.11) to the start
-    # of every command.
+    # logging with the module added about 6 ms (Python 3.11) to every load
+    # of it.
     import logging
 
     total = _ORBIT_COUNTS[n]

@@ -30,23 +30,21 @@ its per-element core-block flags, which ``degrees.core_block`` reads too.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._table import pick, table
 from .errors import BlockNotInCovering
 from .setsys import Block, Covering
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(NamedTuple):
     """Witness (or ``None``) for every block, plus the overall verdict."""
 
     per_block: dict[Block, tuple[Block, ...] | None]
     is_irreducible_covering: bool
 
 
-@dataclass(frozen=True)
-class InvariabilityVerdict:
+class InvariabilityVerdict(NamedTuple):
     """Outcome of the invariable-covering test with the failing detail.
 
     ``reducible_blocks`` lists blocks breaking irreducibility;

@@ -18,8 +18,8 @@ only the types ``report_to_dict`` produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from ._table import pick, table
 from .neighborhoods import cov, is_cov_fixed_point
@@ -27,31 +27,27 @@ from .reduction import is_invariable
 from .setsys import Block, Covering, covering_to_dict, is_partition
 
 
-@dataclass(frozen=True)
-class ElementRow:
+class ElementRow(NamedTuple):
     element: str
     membership_degree: int
     neighborhood: Block
     core_block: Block | None
 
 
-@dataclass(frozen=True)
-class BlockRow:
+class BlockRow(NamedTuple):
     block: Block
     core_block_of: tuple[str, ...]
     witness: tuple[Block, ...] | None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     partition: bool
     irreducible: bool
     invariable: bool
     cov_fixed_point: bool
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     covering: Covering
     elements: tuple[ElementRow, ...]
     lambda_matrix: tuple[tuple[int, ...], ...] | None

@@ -125,6 +125,11 @@ class Universe:
         return "{" + ", ".join(self.names) + "}"
 
 
+def default_universe(n: int) -> Universe:
+    """Universe labeled "1".."n", matching the worked examples."""
+    return Universe(tuple(str(i) for i in range(1, n + 1)))
+
+
 def _check_universe(universe: object) -> Universe:
     if not isinstance(universe, Universe):
         raise TypeError(f"universe must be a Universe; got {type(universe).__name__}")

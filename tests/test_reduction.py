@@ -198,6 +198,17 @@ class TestIsInvariable:
         for c in enumerate_coverings(3):
             assert bool(is_invariable(c)) == is_cov_fixed_point(c)
 
+    def test_truth_is_the_invariable_field(self):
+        # A verdict is a 3-tuple, which is always true; only its __bool__
+        # makes the verdict on a covering that is not invariable false.
+        seen = set()
+        for n in (1, 2, 3):
+            for c in enumerate_coverings(n):
+                verdict = is_invariable(c)
+                assert bool(verdict) == verdict.invariable
+                seen.add(verdict.invariable)
+        assert seen == {False, True}
+
     def test_matches_all_blocks_core_characterization(self):
         for c in enumerate_coverings(3):
             a = core_block_assignment(c)
