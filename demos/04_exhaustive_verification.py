@@ -1,6 +1,6 @@
 # Universes with up to 4 elements are small enough to enumerate every
 # covering and machine-check every structural law on all of them in well
-# under a second; 5 elements take about 40 minutes.
+# under a second; 5 elements take about 25 minutes.
 # Run with:  python3 demos/04_exhaustive_verification.py
 
 from covrough import census, enumerate_coverings, summary_to_dict, verify_laws
@@ -34,7 +34,7 @@ assert not summary.violations
 
 # n=4 checks 32297 coverings as 1952 orbits, in well under a second.
 # verify_laws(5) checks 2147321017 coverings as 18664632 orbits in about
-# 40 minutes; it logs its progress about every 10 s to the "covrough.oracle"
+# 25 minutes; it logs its progress about every 10 s to the "covrough.oracle"
 # logger, shown after logging.basicConfig(level=logging.INFO).
 summary = verify_laws(4)
 print(

@@ -13,7 +13,7 @@ Coverings are read from JSON files ({"universe": [...], "blocks": [[...]]}).
 Results go to stdout, errors to stderr.  Exit codes: 0 success, 1 bad input
 or failed verification, 2 usage error.  A negative ``--limit`` and a
 ``--n`` below 1 are usage errors; ``--n`` above 5 is refused with exit code
-1.  ``verify --n 5`` takes about 40 minutes and writes a progress line to
+1.  ``verify --n 5`` takes about 25 minutes and writes a progress line to
 stderr about every 10 s; shorter runs write none.  When the reader of
 stdout closes it early (``covrough preimages FILE | head -1``), the command
 stops without a message and exits 1.
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_at_least(1),
         required=True,
-        help="universe size, 1..5 (5 takes about 40 minutes)",
+        help="universe size, 1..5 (5 takes about 25 minutes)",
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=_cmd_verify)

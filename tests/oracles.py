@@ -94,6 +94,13 @@ def common_degree_scan(c, x, y):
     return sum(1 for k in family_of(c) if x in k and y in k)
 
 
+def pair_count_definitional(masks, x, y):
+    """The blocks, given as subset bit vectors, that hold both x and y,
+    counted one by one."""
+    pair = (1 << x) | (1 << y)
+    return sum(1 for m in masks if m & pair == pair)
+
+
 def core_block_definitional(c, x):
     """Definitional core-block scan: every block containing x whose members
     all share the full set of x's blocks, measured through the degree

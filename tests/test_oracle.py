@@ -36,6 +36,7 @@ from .oracles import (
     family_of,
     family_of_masks,
     orbit_bruteforce,
+    pair_count_definitional,
     reduct_restarting,
 )
 from .strategies import planted_coverings
@@ -167,6 +168,29 @@ class TestOrbitRepresentatives:
             assert got == _laws._check_covering(n, masks, {})
 
 
+class TestPairCounts:
+    """The packed pair counts against the definitional count, pair by
+    pair."""
+
+    @staticmethod
+    def _agree(n, masks):
+        expected = [
+            pair_count_definitional(masks, x, y) for x in range(n) for y in range(n)
+        ]
+        assert list(_laws._pair_counts(n, masks)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_covering(self, n):
+        for masks in covering_masks_scan(n):
+            self._agree(n, masks)
+
+    def test_first_shard_at_five(self):
+        # the shard holds the covering by all 31 subsets, whose diagonal
+        # counts of 16 are the largest at n=5
+        for masks, _, _ in islice(_laws._orbit_representatives(5), 2000):
+            self._agree(5, masks)
+
+
 def _lambda_laws_definition(lam, deg):
     """The pair-degree laws as the checker stated them entry by entry."""
     n = len(lam)
@@ -289,20 +313,26 @@ def _cov_masks_without_singletons(n, masks, cov_masks=_laws._cov_masks):
     return tuple(m for m in cov_masks(n, masks) if m & (m - 1))
 
 
+def _pair_counts_without_singletons(n, masks, pair_counts=_laws._pair_counts):
+    # a singleton block {x} then goes missing from lambda(x, x)
+    return pair_counts(n, [m for m in masks if m & (m - 1)])
+
+
 def _core_scan_without_meets(n, masks, blkidx, lam, core_scan=_laws._core_scan):
     # every core block then looks larger than its meet, at every element
     scan, unique, _ = core_scan(n, masks, blkidx, lam)
     return scan, unique, [0] * n
 
 
-# Broken law-checker helpers: the per-covering reducibility flags and meets,
-# and the two checks behind the image laws.  Each break depends on the
-# blocks only up to relabelling, as the laws do, and the image-law ones
-# break some images and spare others of the same size, so a memo that
-# mixed up two images would show.
+# Broken law-checker helpers: the per-covering reducibility flags, meets and
+# direct pair counts, and the two checks behind the image laws.  Each break
+# depends on the blocks only up to relabelling, as the laws do, and the
+# image-law ones break some images and spare others of the same size, so a
+# memo that mixed up two images would show.
 SABOTAGES = {
     "_reducible_flags": lambda masks, unions=None: [False] * len(masks),
     "_core_scan": _core_scan_without_meets,
+    "_pair_counts": _pair_counts_without_singletons,
     "_no_union_ok": _has_no_singleton,
     "_cov_masks": _cov_masks_without_singletons,
 }
@@ -453,8 +483,9 @@ class TestVerifyLaws:
 
 
 class TestReductReference:
-    """The oracle's reduct scans on after a deletion; the reference in
-    oracles.py restarts from the first block."""
+    """The oracle's reduct tests each block against the blocks kept before
+    it; the reference in oracles.py restarts from the first block after
+    every deletion."""
 
     @staticmethod
     def _agree(masks):
@@ -467,6 +498,10 @@ class TestReductReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_labelled_covering(self, n):
         for masks in covering_masks_scan(n):
+            self._agree(masks)
+
+    def test_first_shard_at_five(self):
+        for masks, _, _ in islice(_laws._orbit_representatives(5), 2000):
             self._agree(masks)
 
     @settings(max_examples=200)
