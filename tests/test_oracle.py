@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from covrough import (
     Block,
+    CensusRow,
     Covering,
     UniverseTooLarge,
     census,
@@ -19,6 +20,8 @@ from covrough import (
     default_universe,
     enumerate_coverings,
     is_cov_fixed_point,
+    is_invariable,
+    is_partition,
     make_covering,
     neighborhood_map,
     preimages,
@@ -527,6 +530,56 @@ class TestCensus:
             if r.is_cov_fixed_point and not r.is_partition
         ]
         assert any(r.covering == fixed_non_partition for r in rows)
+
+    @pytest.mark.parametrize("n, count", [(4, None), (5, 2000)])
+    def test_rows_match_the_per_row_route(self, n, count):
+        """Each row equals the one built from a fresh covering, with no
+        shared table or image, by the public operators alone."""
+        for row in islice(census(n), count):
+            c = make_covering(
+                row.covering.universe, [b.members() for b in row.covering]
+            )
+            verdict = is_invariable(c)
+            image = cov(c)
+            assert row == CensusRow(
+                covering=c,
+                is_partition=is_partition(c),
+                is_irreducible=not verdict.reducible_blocks,
+                is_invariable=verdict.invariable,
+                is_cov_fixed_point=image == c,
+                cov_image=image,
+            )
+
+    def test_flag_totals_match_verify_laws(self):
+        totals = [0] * 5
+        for row in census(4):
+            totals[0] += 1
+            totals[1] += row.is_partition
+            totals[2] += row.is_irreducible
+            totals[3] += row.is_invariable
+            totals[4] += row.is_cov_fixed_point
+        s = verify_laws(4)
+        assert tuple(totals) == FROZEN_CENSUS[4] == (
+            s.total_coverings,
+            s.partitions,
+            s.irreducible,
+            s.invariable,
+            s.fixed_points,
+        )
+
+    @pytest.mark.parametrize("n, images", [(3, 29), (4, 355)])
+    def test_equal_neighborhoods_share_one_image(self, n, images):
+        """The neighborhoods N(x) fix the image, so a run builds one image
+        per labelled preorder (OEIS A000798) and every row with those
+        neighborhoods holds that same object."""
+        rows = list(census(n))
+        first: dict[tuple[int, ...], Covering] = {}
+        for row in rows:
+            nbh = tuple(
+                b.bits for b in neighborhood_map(row.covering).per_element.values()
+            )
+            assert first.setdefault(nbh, row.cov_image) is row.cov_image
+        assert len(first) == len({id(row.cov_image) for row in rows}) == images
 
 
 class TestPreimages:

@@ -2,7 +2,8 @@
 
 ``import covrough`` loads the paper's operators only.  The exhaustive
 oracle, with its law checker ``_laws``, and the full report load when a
-name or a command first needs them.
+name or a command first needs them, and ``json`` when a covering file is
+first read or written.
 """
 
 import json
@@ -62,6 +63,18 @@ def test_oracle_and_report_load_on_first_use(tmp_path):
     # LAYERS up in sys.modules, so every one of them must be loaded once
     # one verify and one analyze have run.
     assert after_analyze == sorted(after_verify + ["covrough.report"])
+
+
+def test_import_leaves_json_unloaded():
+    # the covering file format imports json when a reader or writer runs
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, covrough; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_every_public_name_resolves():
