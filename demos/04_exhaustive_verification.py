@@ -1,6 +1,6 @@
 # Universes with up to 4 elements are small enough to enumerate every
 # covering and machine-check every structural law on all of them in well
-# under a second; 5 elements take about 25 minutes.
+# under a second; 5 elements take minutes (see "Limits" in the README).
 # Run with:  python3 demos/04_exhaustive_verification.py
 
 from covrough import census, enumerate_coverings, summary_to_dict, verify_laws
@@ -22,20 +22,21 @@ for r in rows:
         print("  ", r.covering)
         break
 
-# verify_laws re-derives every law (neighborhood nesting, degree bounds,
-# core-block uniqueness and minimality, reducibility interactions, the
-# invariability characterizations, idempotence of the neighborhoods
-# operator, ...) and reports violations.  No law depends on the names of
-# the elements, so it checks one covering per relabelling orbit (34 of
-# them at n=3) and counts each once per covering in its orbit.
+# verify_laws re-derives every law (neighborhood nesting, pair degrees
+# counted two ways, core-block uniqueness and minimality, reducibility
+# interactions, the invariability characterizations, idempotence of the
+# neighborhoods operator, ...) and reports violations.  No law depends on
+# the names of the elements, so it checks one covering per relabelling
+# orbit (34 of them at n=3) and counts each once per covering in its orbit.
 summary = verify_laws(3)
 print("\nn=3 verification:", summary_to_dict(summary))
 assert not summary.violations
 
 # n=4 checks 32297 coverings as 1952 orbits, in well under a second.
-# verify_laws(5) checks 2147321017 coverings as 18664632 orbits in about
-# 25 minutes; it logs its progress about every 10 s to the "covrough.oracle"
-# logger, shown after logging.basicConfig(level=logging.INFO).
+# verify_laws(5) checks 2147321017 coverings as 18664632 orbits, which
+# takes minutes; it logs its progress about every 10 s to the
+# "covrough.oracle" logger, shown after
+# logging.basicConfig(level=logging.INFO).
 summary = verify_laws(4)
 print(
     f"n=4 verification: {summary.total_coverings} coverings, "

@@ -12,8 +12,6 @@ the same operations over JSON covering files.
 ``_table``, ``neighborhoods``, ``degrees`` and ``reduction``.  The oracle,
 with its law checker ``_laws``, and the report load on first use, when one
 of their names is first read from the package or a command needs them.
-That cut the import from about 34 to 18 ms (``python -X importtime``,
-median of 20, Python 3.11.7 on 2 shared cores).
 """
 
 from importlib import import_module

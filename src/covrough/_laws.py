@@ -15,7 +15,7 @@ each covering's per-element tables and proper-subset unions down from its
 parent, so the law checker does not rebuild them.  On one core of a
 2-core, shared Intel Xeon (Python 3.11), ``verify_laws(4)`` takes about
 0.09 s this way, where checking all 32297 labelled coverings takes about
-1.9 s, and ``verify_laws(5)`` takes about 25 minutes.
+1.9 s; README "Limits" gives the time of ``verify_laws(5)``.
 
 The law checker works on raw bit vectors rather than on the public types;
 the public operations are exercised against it by the test suite.  This
@@ -262,23 +262,15 @@ def _nesting_ok(nbh: list[int]) -> bool:
     return True
 
 
-def _degrees_match_blocks(blkidx: list[int], lam: list[list[int]]) -> bool:
-    """deg(x) = lambda(x, y) exactly when every block of x holds y."""
-    for bx, lx in zip(blkidx, lam):
-        dx = bx.bit_count()
-        for by, lxy in zip(blkidx, lx):
-            if (bx & by == bx) != (lxy == dx):
-                return False
-    return True
-
-
 def _core_scan(
     n: int, masks: tuple[int, ...], blkidx: list[int], lam: list[list[int]]
 ) -> tuple[list[int | None], bool, list[int]]:
     """Definitional core-block scan: for each element x, the blocks K with
-    x in K whose every member y shares all of x's blocks, which is
-    lambda(x, y) = deg(x).  Returns the first such block per element,
-    whether no scan found two, and the meet of each element's blocks."""
+    x in K whose every member y shares all of x's blocks, tested as
+    lambda(x, y) = lambda(x, x) = deg(x).  With lambda(x, y) the popcount
+    of S_x & S_y, that equality holds exactly when S_x is a subset of S_y.
+    Returns the first such block per element, whether no scan found two,
+    and the meet of each element's blocks."""
     result: list[int | None] = [None] * n
     unique = True
     meets = [-1] * n
@@ -300,24 +292,6 @@ def _core_scan(
                     unique = False
             bi ^= low
     return result, unique, meets
-
-
-def _lambda_laws(lam: list[list[int]], deg: list[int]) -> list[str]:
-    """The laws of the pair-degree matrix alone, row by row: it is
-    symmetric, its diagonal holds the degrees, and no entry exceeds the
-    smaller degree of its pair, that is, no row x holds more than deg(x)
-    and no column y more than deg(y)."""
-    bad = []
-    columns = list(map(list, zip(*lam)))
-    if columns != lam:
-        bad.append("lambda-symmetric")
-    if [row[x] for x, row in enumerate(lam)] != deg:
-        bad.append("lambda-diagonal")
-    if any(max(row) > d for row, d in zip(lam, deg)) or any(
-        max(column) > d for column, d in zip(columns, deg)
-    ):
-        bad.append("lambda-bounded")
-    return bad
 
 
 def _check_covering(
@@ -355,9 +329,6 @@ def _check_covering(
     lam = [[(bx & by).bit_count() for by in blkidx] for bx in blkidx]
     if bytes([v for row in lam for v in row]) != _pair_counts(n, masks):
         bad.append("lambda-consistent")
-    bad += _lambda_laws(lam, deg)
-    if not _degrees_match_blocks(blkidx, lam):
-        bad.append("degree-equality-iff-same-blocks")
 
     # core blocks: definitional scan against the intersection route
     maskset = set(masks)

@@ -13,10 +13,11 @@ Coverings are read from JSON files ({"universe": [...], "blocks": [[...]]}).
 Results go to stdout, errors to stderr.  Exit codes: 0 success, 1 bad input
 or failed verification, 2 usage error.  A negative ``--limit`` and a
 ``--n`` below 1 are usage errors; ``--n`` above 5 is refused with exit code
-1.  ``verify --n 5`` takes about 25 minutes and writes a progress line to
-stderr about every 10 s; shorter runs write none.  When the reader of
-stdout closes it early (``covrough preimages FILE | head -1``), the command
-stops without a message and exits 1.
+1.  ``verify --n 5`` runs for minutes (see ``verify --help``) and writes a
+progress line to stderr about every 10 s; shorter runs write none.  When
+the reader of stdout closes it early
+(``covrough preimages FILE | head -1``), the command stops without a
+message and exits 1.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from .setsys import (
 
 # Enumeration is capped where exhaustion stops being a desk-scale job:
 # n=5 already yields on the order of 2**31 candidate families, and even
-# their 18664632 orbits take about 25 minutes to verify.
+# their 18664632 orbits take minutes to verify (README "Limits").
 MAX_ENUMERATION_SIZE = 5
 MAX_PREIMAGE_SIZE = 4
 
@@ -170,8 +170,9 @@ def verify_laws(n: int) -> VerificationSummary:
     once per member of the orbit, so the totals are those of all coverings;
     each law a representative breaks is reported once, for the orbit.
     Streams the representatives, so memory stays flat.  n = 4 takes about
-    0.09 s (1952 representatives for 32297 coverings), n = 5 about 25
-    minutes on one core (18664632 representatives); n above 5 is refused.
+    0.09 s (1952 representatives for 32297 coverings); n = 5 walks
+    18664632 representatives, for the time README "Limits" gives; n above
+    5 is refused.
 
     About every 10 s of wall time, a run logs one INFO record to the
     ``covrough.oracle`` logger with the representatives done out of the

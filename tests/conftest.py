@@ -8,8 +8,8 @@ from covrough import Universe, make_covering, oracle
 @pytest.fixture
 def five_shard(monkeypatch):
     """Make n=5 verification walk only the first 2000 of its 18664632
-    representatives, since the whole walk takes about 25 minutes; returns the
-    number of coverings those 2000 stand for."""
+    representatives, since the whole walk takes minutes (README "Limits");
+    returns the number of coverings those 2000 stand for."""
     shard = list(islice(oracle._orbit_representatives(5), 2000))
     monkeypatch.setattr(oracle, "_orbit_representatives", lambda n: iter(shard))
     return sum(weight for _, weight, _ in shard)

@@ -135,6 +135,10 @@ class TestPreimagesCommand:
         assert run(["preimages", write_file(singletons3), "--limit", "-1"]) == 2
         assert "--limit" in capsys.readouterr().err
 
+    def test_non_int_limit_is_usage_error(self, capsys, write_file, singletons3):
+        assert run(["preimages", write_file(singletons3), "--limit", "abc"]) == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
     def test_empty_for_non_fixed_point(self, capsys, write_file, overlapping_pair):
         assert run_ok(capsys, ["preimages", write_file(overlapping_pair)]) == ""
 

@@ -147,19 +147,33 @@ class TestAssignmentAndProfile:
 
 
 class TestExhaustiveSmallUniverses:
-    """Degree laws over every covering of up to 3 elements."""
+    """Degree and core-block laws over every covering of up to 3 or 4
+    elements."""
 
-    def test_degree_equality_iff_same_block_sets(self):
-        for c in enumerate_coverings(3):
-            for x in c.universe:
-                for y in c.universe:
-                    same = set(blocks_containing(c, x)) == {
-                        b for b in c.blocks if x in b and y in b
-                    }
-                    counts_match = membership_repeat_degree(
-                        c, x
-                    ) == common_block_repeat_degree(c, x, y)
-                    assert same == counts_match
+    def test_pair_degree_facts(self):
+        """The paper's four facts about pair degrees, read from the
+        library's degree functions, on every covering of up to 4 elements:
+        lambda is symmetric, its diagonal holds the degrees, no entry
+        exceeds the smaller degree of its pair, and deg(x) = lambda(x, y)
+        exactly when every block of x holds y.  Each value is also
+        compared with a count of the blocks' own bit vectors."""
+        for n in (1, 2, 3, 4):
+            for c in enumerate_coverings(n):
+                names = c.universe.names
+                p = degree_profile(c)
+                holding = [[b for b in c.blocks if b.bits >> i & 1] for i in range(n)]
+                for i, x in enumerate(names):
+                    assert blocks_containing(c, x) == holding[i]
+                    deg = len(holding[i])
+                    assert p.membership[x] == membership_repeat_degree(c, x) == deg
+                    assert p.common[x, x] == deg
+                    for j, y in enumerate(names):
+                        lam = common_block_repeat_degree(c, x, y)
+                        assert lam == p.common[x, y] == p.common[y, x]
+                        assert lam == sum(b.bits >> j & 1 for b in holding[i])
+                        assert lam <= min(deg, len(holding[j]))
+                        every = all(b.bits >> j & 1 for b in holding[i])
+                        assert (lam == deg) == every
 
     def test_core_block_routes_agree(self):
         for c in enumerate_coverings(3):

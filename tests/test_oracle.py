@@ -5,7 +5,6 @@ import tracemalloc
 from itertools import islice
 from types import SimpleNamespace
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -57,6 +56,14 @@ FROZEN_CENSUS = {
 
 def _masks(c):
     return tuple(b.bits for b in c.blocks)
+
+
+def _computed_state(n, masks):
+    """The checker's state as computed from the blocks, in the form the
+    orbit walk carries it."""
+    nbh, blkidx = _laws._element_tables(n, masks)
+    unions = tuple(_laws._subset_union(k, masks) for k in masks)
+    return tuple(nbh), tuple(blkidx), unions
 
 
 class TestEnumerateCoverings:
@@ -163,10 +170,7 @@ class TestOrbitRepresentatives:
         reps = list(islice(_laws._orbit_representatives(n), count))
         assert len(reps) == count
         for masks, _, state in reps:
-            nbh, blkidx, unions = state
-            assert (list(nbh), list(blkidx)) == _laws._element_tables(n, masks)
-            flags = _laws._reducible_flags(masks)
-            assert _laws._reducible_flags(masks, unions) == flags
+            assert state == _computed_state(n, masks)
             got = _laws._check_covering(n, masks, {}, state)
             assert got == _laws._check_covering(n, masks, {})
 
@@ -194,88 +198,36 @@ class TestPairCounts:
             self._agree(5, masks)
 
 
-def _lambda_laws_definition(lam, deg):
-    """The pair-degree laws as the checker stated them entry by entry."""
-    n = len(lam)
-    bad = []
-    if any(lam[x][y] != lam[y][x] for x in range(n) for y in range(n)):
-        bad.append("lambda-symmetric")
-    if any(lam[x][x] != deg[x] for x in range(n)):
-        bad.append("lambda-diagonal")
-    if any(lam[x][y] > min(deg[x], deg[y]) for x in range(n) for y in range(n)):
-        bad.append("lambda-bounded")
-    return bad
+# A small covering and a hand-corrupted state (nbh, blkidx, unions) for
+# each law that no helper sabotage (SABOTAGES) fires: the state computed
+# from the blocks breaks no law, and the corrupted one breaks the named law.
+CORRUPTED_STATES = {
+    # N(1) = {2} leaves 1 outside its own neighborhood
+    "neighborhood-reflexive": (2, (1, 2), ((2, 2), (1, 2), (0, 0))),
+    # 2 in N(1) = {1, 2}, but N(2) = {2, 3} is not inside it
+    "neighborhood-nesting": (3, (1, 2, 4), ((3, 6, 4), (1, 2, 4), (0, 0, 0))),
+    # 2 in both blocks: {1} and {1, 2} both pass the scan for 1
+    "core-block-unique": (2, (1, 3), ((1, 3), (3, 3), (0, 1))),
+    # 1 in no block: the scan finds no core block where N(1) = {1} is one
+    "core-block-routes-agree": (2, (1, 2), ((1, 2), (0, 2), (0, 0))),
+    # the scan finds {1} for 1, where N(1) = {1, 2}
+    "core-block-is-neighborhood": (2, (1, 2), ((3, 2), (1, 2), (0, 0))),
+    # 2 in no block: the singleton {2} is no core block
+    "non-core-block-structure": (2, (1, 2), ((1, 2), (1, 0), (0, 0))),
+    # {1} rebuilt by its proper subsets, while it is the core block of 1
+    "reducible-not-core": (2, (1, 2, 3), ((1, 2), (5, 6), (1, 0, 3))),
+    # N(2) = {1, 2}: the partition's neighborhoods are not the partition
+    "partition-fixed-point": (2, (1, 2), ((1, 3), (1, 2), (0, 0))),
+    # a fixed point with a block rebuilt by its proper subsets
+    "quick-reject-sound": (2, (1, 2), ((1, 2), (1, 2), (1, 0))),
+}
 
 
-@st.composite
-def _matrices(draw):
-    """A square integer matrix and, drawn apart from it, a degree per row."""
-    n = draw(st.integers(1, 5))
-    cells = st.integers(-1, 6)
-    row = st.lists(cells, min_size=n, max_size=n)
-    lam = draw(st.lists(row, min_size=n, max_size=n))
-    deg = draw(st.lists(cells, min_size=n, max_size=n))
-    return lam, deg
-
-
-@st.composite
-def _planted_matrices(draw):
-    """A matrix that keeps every pair-degree law, or one with a single
-    planted break, with the laws the break must fire."""
-    n = draw(st.integers(1, 5))
-    deg = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    lam = [[0] * n for _ in range(n)]
-    for x in range(n):
-        lam[x][x] = deg[x]
-        for y in range(x + 1, n):
-            lam[x][y] = lam[y][x] = draw(st.integers(0, min(deg[x], deg[y])))
-    kinds = ["none", "diagonal"]
-    if n > 1:
-        kinds.append("asymmetric")
-    if len(set(deg)) > 1:
-        kinds += ["bounded", "bounded-row", "bounded-column"]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "none":
-        return lam, deg, []
-    if kind == "diagonal":
-        # below the degree, so that the entry stays in bounds
-        x = draw(st.integers(0, n - 1))
-        lam[x][x] = draw(st.integers(0, deg[x] - 1))
-        return lam, deg, ["lambda-diagonal"]
-    if kind == "asymmetric":
-        x, y = draw(st.permutations(range(n)))[:2]
-        top = min(deg[x], deg[y])
-        lam[x][y] = draw(st.integers(0, top).filter(lambda v: v != lam[y][x]))
-        return lam, deg, ["lambda-symmetric"]
-    # x has the smaller degree: an entry v with deg(x) < v <= deg(y) is
-    # out of bounds in row x and column x, and in bounds for y
-    pairs = [(x, y) for x in range(n) for y in range(n) if deg[x] < deg[y]]
-    x, y = draw(st.sampled_from(pairs))
-    v = draw(st.integers(deg[x] + 1, deg[y]))
-    if kind == "bounded":  # both entries of the pair, so still symmetric
-        lam[x][y] = lam[y][x] = v
-        return lam, deg, ["lambda-bounded"]
-    if kind == "bounded-row":  # only row x sees it, column y does not
-        lam[x][y] = v
-    else:  # only column x sees it, row y does not
-        lam[y][x] = v
-    return lam, deg, ["lambda-symmetric", "lambda-bounded"]
-
-
-class TestLambdaLaws:
-    """The row-by-row pair-degree laws against their entry-by-entry
-    definition."""
-
-    @given(_matrices())
-    def test_any_matrix(self, drawn):
-        lam, deg = drawn
-        assert _laws._lambda_laws(lam, deg) == _lambda_laws_definition(lam, deg)
-
-    @given(_planted_matrices())
-    def test_each_law_fires_on_its_own_break(self, drawn):
-        lam, deg, expected = drawn
-        assert _lambda_laws_definition(lam, deg) == expected
-        assert _laws._lambda_laws(lam, deg) == expected
+@pytest.mark.parametrize("law", sorted(CORRUPTED_STATES))
+def test_law_fires_on_corrupted_state(law):
+    n, masks, state = CORRUPTED_STATES[law]
+    assert _laws._check_covering(n, masks, {}, _computed_state(n, masks))[4] == []
+    assert law in _laws._check_covering(n, masks, {}, state)[4]
 
 
 def _labelled_scan(n):

@@ -393,6 +393,8 @@ class TestFileFormat:
             covering_from_dict({"universe": ["1"], "blocks": [["1"], [1]]})
         with pytest.raises(FileFormatError):
             covering_from_dict({"universe": "12", "blocks": [["1"]]})
+        with pytest.raises(FileFormatError, match='"blocks" must be a list'):
+            covering_from_dict({"universe": ["1"], "blocks": "1"})
 
     def test_validation_applies_on_parse(self):
         data = {"universe": ["1", "2"], "blocks": [["1"]]}
