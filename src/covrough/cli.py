@@ -218,6 +218,8 @@ def _read_input(path: str) -> Covering:
         raise CoveringError(f"file not found: {exc.filename}") from None
     except OSError as exc:
         raise CoveringError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CoveringError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise CoveringError(f"malformed JSON: {exc}") from None
     except RecursionError:

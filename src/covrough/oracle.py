@@ -169,10 +169,9 @@ def verify_laws(n: int) -> VerificationSummary:
     Checks one representative per relabelling orbit and counts its flags
     once per member of the orbit, so the totals are those of all coverings;
     each law a representative breaks is reported once, for the orbit.
-    Streams the representatives, so memory stays flat.  n = 4 takes about
-    0.09 s (1952 representatives for 32297 coverings); n = 5 walks
-    18664632 representatives, for the time README "Limits" gives; n above
-    5 is refused.
+    Streams the representatives, so memory stays flat.  n = 4 walks 1952
+    representatives for 32297 coverings and n = 5 walks 18664632, for the
+    times README "Limits" gives; n above 5 is refused.
 
     About every 10 s of wall time, a run logs one INFO record to the
     ``covrough.oracle`` logger with the representatives done out of the

@@ -6,7 +6,12 @@ lowest bit).  A ``Covering`` is a duplicate-free family of blocks whose
 union is the whole universe, kept in canonical order: ascending by bit
 vector read as an integer.  That sorted tuple is the only copy of the
 family a covering keeps; membership bisects it.  All three types are
-immutable, so instances can be shared between threads freely.
+immutable, so instances can be shared between threads freely.  They are
+plain classes with ``__slots__`` whose equality, hash, repr and pickling
+read the public fields only, not a universe's label index or a covering's
+bit table.  They are not dataclasses because loading ``dataclasses``
+(with ``inspect``, ``ast`` and ``dis``) and generating their methods took
+nearly half of ``import covrough``.
 
 Validation happens once, at the boundary.  The public constructors
 ``Universe``, ``Block`` and ``Covering``, ``make_covering`` and the file
@@ -36,7 +41,6 @@ canonical order with the elements of each block in universe order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -55,21 +59,35 @@ from .errors import (
 MAX_UNIVERSE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class Universe:
+# Writes a slot of the immutable types below, past their ``__setattr__``.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Refuses every attribute write or delete after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Universe(_Frozen):
     """Ordered, finite, nonempty collection of distinct element labels."""
 
+    __slots__ = ("names", "_index")
     names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.names, str):
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if isinstance(names, str):
             raise InvalidUniverse(
                 "element labels must be a collection of strings, not one str"
             )
-        names = tuple(
-            _iterate(self.names, "element labels must be a collection of strings")
-        )
+        names = tuple(_iterate(names, "element labels must be a collection of strings"))
         if not names:
             raise InvalidUniverse("a universe needs at least one element")
         if not all(isinstance(name, str) for name in names):
@@ -81,8 +99,22 @@ class Universe:
                 f"universe has {len(names)} elements; the bit-vector core "
                 f"supports at most {MAX_UNIVERSE_SIZE}"
             )
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        _set(self, "names", names)
+        _set(self, "_index", {n: i for i, n in enumerate(names)})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(names={self.names!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.names,)
 
     @property
     def size(self) -> int:
@@ -143,40 +175,51 @@ def _iterate(items: object, what: str) -> Iterator:
         raise TypeError(f"{what}; got {type(items).__name__}") from None
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Frozen):
     """Nonempty subset of a universe, stored as a bit vector."""
 
+    __slots__ = ("universe", "bits")
     universe: Universe
     bits: int
 
-    def __post_init__(self) -> None:
-        _check_universe(self.universe)
-        if isinstance(self.bits, bool) or not isinstance(self.bits, int):
-            raise TypeError(
-                f"bit vector must be an int; got {type(self.bits).__name__}"
-            )
-        if self.bits == 0:
+    def __init__(self, universe: Universe, bits: int) -> None:
+        _check_universe(universe)
+        if isinstance(bits, bool) or not isinstance(bits, int):
+            raise TypeError(f"bit vector must be an int; got {type(bits).__name__}")
+        if bits == 0:
             raise EmptyBlock("a block must be a nonempty subset")
-        if self.bits < 0 or self.bits > self.universe.full_bits:
+        if bits < 0 or bits > universe.full_bits:
             raise UnknownElement(
-                f"bit vector {self.bits:#x} does not fit a universe of "
-                f"size {self.universe.size}"
+                f"bit vector {bits:#x} does not fit a universe of "
+                f"size {universe.size}"
             )
+        _set(self, "universe", universe)
+        _set(self, "bits", bits)
 
     @classmethod
     def _of(cls, universe: Universe, bits: int) -> "Block":
-        """The dataclass ``__init__`` without ``__post_init__``.  The caller
-        guarantees that ``bits`` is an ``int`` naming a nonempty subset of
-        ``universe``."""
+        """``__init__`` without its checks.  The caller guarantees that
+        ``bits`` is an ``int`` naming a nonempty subset of ``universe``."""
         b = object.__new__(cls)
-        object.__setattr__(b, "universe", universe)
-        object.__setattr__(b, "bits", bits)
+        _set(b, "universe", universe)
+        _set(b, "bits", bits)
         return b
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.universe, other.universe
+        return self.bits == other.bits and (u is v or u == v)
 
     def __hash__(self) -> int:
         # Equal blocks have equal bits; same bits in another universe only collide.
         return hash(self.bits)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(universe={self.universe!r}, bits={self.bits!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.universe, self.bits)
 
     def members(self) -> tuple[str, ...]:
         """Element labels of this block, in universe order: its set bits,
@@ -205,8 +248,7 @@ class Block:
         return "{" + ", ".join(self.members()) + "}"
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(_Frozen):
     """Duplicate-free family of blocks whose union is the universe.
 
     The constructor validates and normalizes: blocks may arrive in any
@@ -216,14 +258,15 @@ class Covering:
     ``_of``; the module docstring says why each of them is valid.
     """
 
+    # _table: the derived operators' bit table, built on first use (see
+    # covrough._table); equality, hash, repr and pickling leave it out.
+    __slots__ = ("universe", "blocks", "_table")
     universe: Universe
     blocks: tuple[Block, ...]
-    # The derived operators' bit table, built on first use (see _table).
-    _table: object = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        u = _check_universe(self.universe)
-        given = tuple(_iterate(self.blocks, "blocks must be an iterable of Blocks"))
+    def __init__(self, universe: Universe, blocks: tuple[Block, ...]) -> None:
+        u = _check_universe(universe)
+        given = tuple(_iterate(blocks, "blocks must be an iterable of Blocks"))
         union = 0
         seen: set[int] = set()
         for i, b in enumerate(given):
@@ -242,27 +285,44 @@ class Covering:
                 j = first.setdefault(b.bits, i)
                 if j != i:
                     raise DuplicateBlock(f"blocks #{j} and #{i} are identical")
-        if union != self.universe.full_bits:
-            missing = [
-                name
-                for i, name in enumerate(self.universe.names)
-                if not union >> i & 1
-            ]
+        if union != u.full_bits:
+            missing = [name for i, name in enumerate(u.names) if not union >> i & 1]
             raise NotACover(
                 "union of blocks misses element(s): " + ", ".join(missing)
             )
-        object.__setattr__(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
+        _set(self, "universe", u)
+        _set(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
+        _set(self, "_table", None)
 
     @classmethod
     def _of(cls, universe: Universe, blocks: tuple[Block, ...]) -> "Covering":
-        """The dataclass ``__init__`` without ``__post_init__``.  The caller
-        guarantees that ``blocks`` is a tuple of distinct blocks of
-        ``universe``, ascending by ``bits``, whose union is the universe."""
+        """``__init__`` without its checks.  The caller guarantees that
+        ``blocks`` is a tuple of distinct blocks of ``universe``, ascending
+        by ``bits``, whose union is the universe."""
         c = object.__new__(cls)
-        object.__setattr__(c, "universe", universe)
-        object.__setattr__(c, "blocks", blocks)
-        object.__setattr__(c, "_table", None)
+        _set(c, "universe", universe)
+        _set(c, "blocks", blocks)
+        _set(c, "_table", None)
         return c
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, v = self.universe, other.universe
+        return (u is v or u == v) and self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.blocks))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(universe={self.universe!r}, "
+            f"blocks={self.blocks!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        # The bit table stays behind; the copy builds its own on first use.
+        return type(self), (self.universe, self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -271,7 +331,9 @@ class Covering:
         return iter(self.blocks)
 
     def __contains__(self, block: object) -> bool:
-        if not isinstance(block, Block) or block.universe != self.universe:
+        if not isinstance(block, Block):
+            return False
+        if block.universe is not self.universe and block.universe != self.universe:
             return False
         blocks = self.blocks
         i = bisect_left(blocks, block.bits, key=attrgetter("bits"))

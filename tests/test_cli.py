@@ -228,6 +228,17 @@ class TestErrorHandling:
         out = run_ok(capsys, ["cov", str(path)])
         assert covering_from_json(out) == fixed_non_partition
 
+    def test_non_utf8_file_is_named(self, capsys, tmp_path, fixed_non_partition):
+        # a UTF-16 file, as PowerShell 5's Out-File writes it, starts ff fe
+        path = tmp_path / "utf16.json"
+        text = json.dumps(covering_to_dict(fixed_non_partition))
+        path.write_bytes(text.encode("utf-16"))
+        assert run(["cov", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: not UTF-8 text (")
+        assert "0xff in position 0" in err
+        assert len(err.splitlines()) == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

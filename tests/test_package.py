@@ -77,6 +77,24 @@ def test_import_leaves_json_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # the value types are plain slotted classes: dataclasses, with the
+    # inspect, ast and dis it pulls in, was most of the import's time
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, covrough, covrough.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout == "False False\n"
+
+
 def test_every_public_name_resolves():
     for name in covrough.__all__:
         assert getattr(covrough, name).__name__ == name

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pickle
@@ -34,7 +35,6 @@ from covrough import (
     membership_repeat_degree,
     neighborhood,
     read_covering,
-    setsys,
     write_covering,
 )
 
@@ -118,23 +118,6 @@ class TestUniverse:
         assert ["1"] not in u3
         assert ["1"] not in u3.block(["1"])
 
-    def test_hash_is_the_dataclass_value(self):
-        names = tuple(f"e{i}" for i in range(64))
-        u, v = Universe(names), Universe(tuple(list(names)))
-        assert u is not v and u == v
-        assert hash(u) == hash(v) == hash((u.names,))
-        a, b = Block(u, 0b1011), Block(v, 0b1011)
-        assert a == b and hash(a) == hash(b) == hash(a.bits)
-        assert {a: 1}[b] == 1
-
-    def test_only_block_defines_a_hash(self):
-        # The dataclass writes the universe's hash and pickling is the
-        # default; a block hashes its bit vector alone.
-        assert not hasattr(Universe(("a",)), "_hash")
-        assert "__reduce__" not in vars(Universe)
-        assert Universe.__hash__.__code__.co_filename != setsys.__file__
-        assert Block.__hash__.__code__.co_filename == setsys.__file__
-
     def test_hash_survives_pickling_into_another_process(self):
         # String hashes differ between processes; each unpickled value
         # must equal, and hash as, one built there from its labels.
@@ -165,6 +148,75 @@ class TestUniverse:
             check=True,
         )
         assert done.stdout.split() == [b"True"] * 4 + [b"2", b"{a,", b"c}"]
+
+
+class TestValueTypes:
+    """Universe, Block and Covering compare, hash, print and copy by their
+    public fields alone, and refuse every attribute write."""
+
+    def test_hash_values(self):
+        names = tuple(f"e{i}" for i in range(64))
+        u, v = Universe(names), Universe(tuple(list(names)))
+        assert u is not v and u == v
+        assert hash(u) == hash(v) == hash((u.names,))
+        a, b = Block(u, 0b1011), Block(v, 0b1011)
+        assert a == b and hash(a) == hash(b) == hash(a.bits)
+        assert {a: 1}[b] == 1
+        c = make_covering(u, [names[:40], names[30:]])
+        d = make_covering(v, [names[30:], names[:40]])
+        assert c == d and hash(c) == hash(d) == hash((c.universe, c.blocks))
+
+    @pytest.mark.parametrize(
+        "make, attrs",
+        [
+            (lambda u: u, ["names", "_index", "other"]),
+            (lambda u: u.block(["1"]), ["universe", "bits", "other"]),
+            (
+                lambda u: make_covering(u, [["1"], ["2"]]),
+                ["universe", "blocks", "_table", "other"],
+            ),
+        ],
+        ids=["universe", "block", "covering"],
+    )
+    def test_attributes_cannot_be_assigned_or_deleted(self, u2, make, attrs):
+        value = make(u2)
+        for attr in attrs:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{attr}'"):
+                setattr(value, attr, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{attr}'"):
+                delattr(value, attr)
+        assert value == make(u2)
+
+    def test_repr_is_the_constructor_call(self, u2):
+        c = make_covering(u2, [["1"], ["1", "2"]])
+        u = "Universe(names=('1', '2'))"
+        assert repr(u2) == u
+        assert repr(c.blocks[0]) == f"Block(universe={u}, bits=1)"
+        assert repr(c) == (
+            f"Covering(universe={u}, blocks=(Block(universe={u}, bits=1), "
+            f"Block(universe={u}, bits=3)))"
+        )
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_equal_the_original(self, u3, duplicate):
+        c = make_covering(u3, [["1", "3"], ["2"], ["3"]])
+        neighborhood(c, "1")  # a copy need not carry the bit table along
+        for value in (u3, c.blocks[-1], c):
+            got = duplicate(value)
+            assert type(got) is type(value)
+            assert got == value and hash(got) == hash(value)
+        got = duplicate(c)
+        assert got.universe.index("3") == 2
+        assert neighborhood(got, "1") == neighborhood(c, "1")
+
+    def test_covering_is_not_its_tuple_of_blocks(self, u2):
+        c = make_covering(u2, [["1"], ["2"]])
+        assert c != c.blocks and not c == c.blocks
+        assert c.universe != u2.names and c.blocks[0] != c.blocks[0].bits
 
 
 class TestBlock:
