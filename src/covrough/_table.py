@@ -24,16 +24,31 @@ Faradzev, 1970): for each run of 8 elements, a table of up to 256 entries
 holds the union of S_x over every subset of the run, so the union for a
 block costs one lookup per 8 elements (8 at n=64, against one step per
 element outside the block).  The tables are built on first use, once per
-covering.  With at most 8 elements the test walks the elements outside
-the block one by one instead: a block there has at most 7 of them, and
-building the tables for every covering made the table pass over all
-coverings with n=3 40-55% slower, and with n=4 about 20% slower (best of
-7 runs, Python 3.11).
+covering.  With at most 8 elements no tables are built: building them
+for every covering made the table pass over all coverings with n=3
+40-55% slower, and with n=4 about 20% slower (best of 7 runs, Python
+3.11).  A mask there fits in one byte, and ``BYTE_BITS`` lists the
+elements of each byte value, so one lookup reads the elements outside a
+block, as it reads a block's elements for the pass over the blocks and
+for the test of each element.  Above 8 elements those two walk the set
+bits one at a time.
 """
 
 from __future__ import annotations
 
 from .setsys import Block, Covering
+
+
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """Entry v lists the set bit positions of the byte value v, ascending.
+    Doubling: the entries from 1 << x up are those below with x added."""
+    bits: list[tuple[int, ...]] = [()]
+    for x in range(8):
+        bits += [t + (x,) for t in bits]
+    return tuple(bits)
+
+
+BYTE_BITS = _byte_bits()
 
 
 class BitTable:
@@ -50,15 +65,22 @@ class BitTable:
     def __init__(self, n: int, masks: list[int]) -> None:
         nbh = [-1] * n
         holders = [0] * n
-        for j, m in enumerate(masks):
-            bit = 1 << j
-            rest = m
-            while rest:
-                low = rest & -rest
-                x = low.bit_length() - 1
-                nbh[x] &= m
-                holders[x] |= bit
-                rest ^= low
+        if n > 8:
+            for j, m in enumerate(masks):
+                bit = 1 << j
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    x = low.bit_length() - 1
+                    nbh[x] &= m
+                    holders[x] |= bit
+                    rest ^= low
+        else:
+            for j, m in enumerate(masks):
+                bit = 1 << j
+                for x in BYTE_BITS[m]:
+                    nbh[x] &= m
+                    holders[x] |= bit
         self.n = n
         self.masks = masks
         self.nbh = nbh
@@ -93,10 +115,8 @@ class BitTable:
                 outside >>= 8
         else:
             holders = self.holders
-            while outside:
-                low = outside & -outside
-                union |= holders[low.bit_length() - 1]
-                outside ^= low
+            for x in BYTE_BITS[outside]:
+                union |= holders[x]
         return ((1 << len(self.masks)) - 1) ^ union
 
     @property
@@ -105,15 +125,34 @@ class BitTable:
         if self._reducible is None:
             holders = self.holders
             flags = []
-            for j, k in enumerate(self.masks):
-                subs = self.subsets(j)
-                hit = subs != 0
-                rest = k
-                while hit and rest:
-                    low = rest & -rest
-                    hit = holders[low.bit_length() - 1] & subs != 0
-                    rest ^= low
-                flags.append(hit)
+            if self.n > 8:
+                for j, k in enumerate(self.masks):
+                    subs = self.subsets(j)
+                    hit = subs != 0
+                    rest = k
+                    while hit and rest:
+                        low = rest & -rest
+                        hit = holders[low.bit_length() - 1] & subs != 0
+                        rest ^= low
+                    flags.append(hit)
+            else:
+                # subsets(j) inlined: the union of S_x over the complement
+                # of block j, then the test of its own elements, each
+                # read with one lookup
+                full = (1 << self.n) - 1
+                every = (1 << len(self.masks)) - 1
+                for j, k in enumerate(self.masks):
+                    union = 1 << j
+                    for x in BYTE_BITS[full ^ k]:
+                        union |= holders[x]
+                    subs = every ^ union
+                    hit = subs != 0
+                    if hit:
+                        for x in BYTE_BITS[k]:
+                            if not holders[x] & subs:
+                                hit = False
+                                break
+                    flags.append(hit)
             self._reducible = flags
         return self._reducible
 

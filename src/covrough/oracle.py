@@ -130,7 +130,7 @@ def _covering_from_masks(
 ) -> Covering:
     """``masks`` are distinct, ascending and cover the universe, as
     ``Covering._of`` requires."""
-    return Covering._of(universe, tuple(blocks[m] for m in masks))
+    return Covering._of(universe, tuple(map(blocks.__getitem__, masks)))
 
 
 def _coverings(n: int) -> Iterator[tuple[tuple[int, ...], Covering]]:
@@ -234,8 +234,9 @@ def _report_progress(n: int, done: int, rate: float) -> None:
 def census(n: int) -> Iterator[CensusRow]:
     """Stream every covering, in enumeration order, with its
     classification flags, computed through the public operations
-    (``is_partition``, ``is_invariable``, ``cov``), not the raw law
-    checker.
+    (``is_partition``, ``is_invariable``, ``is_cov_fixed_point``,
+    ``cov``), not the raw law checker.  README "Limits" gives the time of
+    n = 4.
 
     The per-element neighborhoods N(x) fix Cov(C), and the family walk
     yields them with each covering.  So ``cov`` runs once per distinct
@@ -254,7 +255,7 @@ def census(n: int) -> Iterator[CensusRow]:
             is_partition=is_partition(c),
             is_irreducible=not verdict.reducible_blocks,
             is_invariable=verdict.invariable,
-            is_cov_fixed_point=image == c,
+            is_cov_fixed_point=is_cov_fixed_point(c),
             cov_image=image,
         )
 

@@ -9,9 +9,10 @@ over block indices, and a block is reducible when each of its elements
 lies in one of them.  The blocks that meet a block's complement, the
 inner step, come from per-chunk union tables above 8 elements: one
 lookup per run of 8 elements, built once per covering.  Up to 8 elements
-the test walks the complement element by element, because there building
-the tables costs more than it saves (built for every covering, they made
-the table pass over all coverings with n=3 40-55% slower).
+the complement's elements are read with one byte lookup instead, because
+there building the tables costs more than it saves (built for every
+covering, they made the table pass over all coverings with n=3 40-55%
+slower).
 
 The reduct is the family of irreducible blocks.  Removing a reducible
 block never changes whether another block is reducible: every reducible
@@ -30,6 +31,8 @@ its per-element core-block flags, which ``degrees.core_block`` reads too.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
 from ._table import pick, table
@@ -101,8 +104,8 @@ def is_invariable(c: Covering) -> InvariabilityVerdict:
     """Decide whether ``c`` is invariable: irreducible and every element
     has a core block."""
     t = table(c)
-    reducible = tuple(b for b, r in zip(c.blocks, t.reducible) if r)
-    missing = tuple(x for x, cored in zip(c.universe.names, t.cored) if not cored)
+    reducible = tuple(compress(c.blocks, t.reducible))
+    missing = tuple(compress(c.universe.names, map(not_, t.cored)))
     return InvariabilityVerdict(
         invariable=not reducible and not missing,
         reducible_blocks=reducible,

@@ -41,8 +41,9 @@ def _mask(elements):
 
 @st.composite
 def planted_coverings(draw, max_blocks=24, max_unions=8):
-    """Random covering of 9 to 64 elements in which some blocks are unions
-    of others.
+    """Random covering of 2 to 64 elements in which some blocks are unions
+    of others.  One of the three branches of the size draw stays at or
+    below 8 elements, where the bit table reads elements by byte lookup.
 
     Small random blocks come first, then one block across each run
     boundary that the universe reaches and one holding the last element
@@ -50,7 +51,7 @@ def planted_coverings(draw, max_blocks=24, max_unions=8):
     Unions of two or three of these blocks are planted on top; some of
     them get one more element, so that a block can have proper subsets
     without being their union."""
-    n = draw(st.sampled_from((9, 17, 57, 64)) | st.integers(9, 64))
+    n = draw(st.integers(2, 8) | st.sampled_from((9, 17, 57, 64)) | st.integers(9, 64))
     element = st.integers(0, n - 1)
     small = st.frozensets(element, min_size=1, max_size=6)
     drawn = draw(st.lists(small, min_size=1, max_size=max_blocks))

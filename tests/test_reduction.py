@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,8 +15,8 @@ from covrough import (
     reducibility_report,
     reduct,
 )
-from covrough._table import BitTable, table
-from covrough._laws import _reduct_masks, _reducible_flags
+from covrough._table import BYTE_BITS, BitTable, table
+from covrough._laws import _orbit_representatives, _reduct_masks, _reducible_flags
 
 from .oracles import covering_masks_scan, family_of, is_union_of_others
 from .strategies import coverings, planted_coverings
@@ -65,6 +67,12 @@ class TestBitParallelFlags:
         for masks in covering_masks_scan(n):
             assert BitTable(n, list(masks)).reducible == _reducible_flags(masks)
 
+    def test_match_oracle_on_five_element_representatives(self):
+        # the many-block shapes of n=5, which has 2**31 families: the first
+        # 20000 orbit representatives
+        for masks, _, _ in islice(_orbit_representatives(5), 20000):
+            assert BitTable(5, list(masks)).reducible == _reducible_flags(masks)
+
     @settings(max_examples=200)
     @given(coverings(max_elements=64, max_blocks=40))
     def test_match_oracle_random(self, c):
@@ -74,8 +82,9 @@ class TestBitParallelFlags:
     @settings(max_examples=200)
     @given(planted_coverings())
     def test_union_tables_match_oracle(self, c):
-        """Above 8 elements the subset test reads the per-chunk union
-        tables: flags, witnesses and the reduct against direct scans."""
+        """Flags, witnesses and the reduct against direct scans, on both
+        sides of the 8-element switch: the byte lookups up to 8 elements
+        and the per-chunk union tables above."""
         masks = tuple(b.bits for b in c.blocks)
         flags = _reducible_flags(masks)
         assert table(c).reducible == flags
@@ -89,11 +98,39 @@ class TestBitParallelFlags:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_union_tables_only_above_8_elements(self, n):
-        """Up to 8 elements the subset test walks the elements outside the
-        block and builds no union tables."""
+        """Up to 8 elements the subset test reads the elements outside the
+        block with one byte lookup and builds no union tables."""
         t = BitTable(n, [1 << x for x in range(n)] + [(1 << n) - 1])
         assert t.reducible == [False] * n + [True]
         assert (t._unions is not None) == (n > 8)
+
+    def test_byte_lookup_is_the_bit_walk(self):
+        for v in range(256):
+            walked = []
+            rest = v
+            while rest:
+                low = rest & -rest
+                walked.append(low.bit_length() - 1)
+                rest ^= low
+            assert BYTE_BITS[v] == tuple(walked)
+
+    def test_narrow_path_matches_wide_path(self):
+        """Every n=4 covering, padded to 9 elements by one more block
+        {5..9}, gives the same table through the wide path for its own
+        blocks and elements; the extra block is irreducible and is the
+        core block of each of its elements."""
+        pad = 0b11111 << 4
+        for masks in covering_masks_scan(4):
+            narrow = BitTable(4, list(masks))
+            wide = BitTable(9, list(masks) + [pad])
+            b = len(masks)
+            assert wide.reducible == narrow.reducible + [False]
+            assert [wide.subsets(j) for j in range(b)] == [
+                narrow.subsets(j) for j in range(b)
+            ]
+            assert wide.nbh == narrow.nbh + [pad] * 5
+            assert wide.holders == narrow.holders + [1 << b] * 5
+            assert wide.cored == narrow.cored + [True] * 5
 
 
 class TestReducibilityReport:
