@@ -2,29 +2,34 @@
 verification of the structural laws relating neighborhoods, repeat degrees,
 core blocks, reduction, and invariability.
 
-Enumeration and the preimage search share one depth-first walk over the
-families of a list of subsets, in ascending family-mask order: coverings
-are the families of all 2**n - 1 nonempty subsets whose union is the
-universe.  The order is deterministic and simple enough to re-implement
-independently, which the test suite does.  Its universes are
-``setsys.default_universe(n)``, labelled "1".."n", which this module
-imports under the same name.
+Enumeration, ``census`` and the preimage search share one depth-first
+walk over the families of a list of subsets, in ascending family-mask
+order: coverings are the families of all 2**n - 1 nonempty subsets whose
+union is the universe.  For each family the walk carries the meets of its
+members as one int, an (n + 1)-bit field per element, and the members
+themselves as shared ``Block`` objects, so a step is one ``&`` and one
+tuple concatenation, and a result is wrapped in a ``Covering`` as it
+stands.  Its caller names the meets it wants, and the walk cuts every
+subtree in which no family can have them.  The order is deterministic and
+simple enough to re-implement independently, which the test suite does.
+Its universes are ``setsys.default_universe(n)``, labelled "1".."n",
+which this module imports under the same name.
 
 The laws themselves, and the walk over one covering per relabelling orbit
 that ``verify_laws`` drives, live in ``_laws``, which imports only the
-standard library.
+standard library.  The family walk builds its own columns and shares no
+table builder with ``_laws``, so checking ``census`` rows against the law
+checker compares two routes.
 """
 
 from __future__ import annotations
 
 import time
-from operator import and_
 from typing import Iterable, Iterator, NamedTuple
 
 from ._laws import (
     _ORBIT_COUNTS,
     _check_covering,
-    _meet_columns,
     _orbit_representatives,
 )
 from ._table import table
@@ -95,52 +100,70 @@ def summary_to_dict(s: VerificationSummary) -> dict:
     }
 
 
+def _pack(n: int, fields: Iterable[int]) -> int:
+    """The element masks ``fields``, one per element, as a packed meet of
+    ``_families``: field x from bit x * (n + 1) up."""
+    return sum(f << x * (n + 1) for x, f in enumerate(fields))
+
+
 def _families(
-    n: int, subsets: list[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every family of ``subsets``, ascending bit vectors, in ascending
-    family-mask order (bit i selects ``subsets[i]``), the empty one first.
+    universe: Universe, subsets: list[int], mask: int, want: int
+) -> Iterator[tuple[int, tuple[Block, ...]]]:
+    """Every family of ``subsets``, ascending bit vectors, whose packed
+    meet ``inter`` has ``inter & mask == want``, in ascending family-mask
+    order (bit i selects ``subsets[i]``).
 
-    Yields ``(intersections, masks)``: per element x, the intersection of
-    the members holding x, or -1 if none does; and the members, ascending.
+    Yields ``(inter, blocks)``: the packed meet, and the members as one
+    shared ``Block`` per subset, ascending.  The packed meet has one field
+    of n + 1 bits per element x, from bit x * (n + 1) up: the intersection
+    of the members holding x, with the top bit set until some member does.
+    So a step is one ``&`` with the subset's column, and one tuple
+    concatenation.
+
     Depth first: each family is followed by those that add one subset
-    below its lowest member, lowest first, which is counting up.
+    below its lowest member, lowest first, which is counting up.  A step
+    only clears bits, so a family's meet ANDed with the columns of every
+    subset still allowed below it is contained in the meet of every
+    family under it.  A child is cut, with everything under it, when that
+    bound has a bit in ``mask`` that ``want`` lacks, since each family
+    under it keeps that bit and fails the test.
     """
-    meets = _meet_columns(n, subsets)
-    # (index of the highest subset still allowed, intersections, masks)
-    stack = [(len(subsets) - 1, (-1,) * n, ())]
+    n = universe.size
+    field = (1 << n + 1) - 1
+    inter = (1 << (n + 1) * n) - 1  # the empty family: every field all ones
+    unmet = mask & ~want
+    # runs[k]: one (runs[j], column, cut, (block,)) per child, for
+    # j = k - 1 down to 0, of a family whose lowest member is subsets[k]
+    # (of the empty family for k = len(subsets))
+    runs: list[tuple] = [()]
+    below = inter  # the AND of the columns of subsets[:j]
+    for j, m in enumerate(subsets):
+        column = _pack(n, (m if m >> x & 1 else field for x in range(n)))
+        step = (runs[j], column, below & unmet, (Block._of(universe, m),))
+        runs.append((step,) + runs[j])
+        below &= column
+    stack = [(runs[-1], inter, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, inter, masks = stack.pop()
-        yield inter, masks
-        for j in range(i, -1, -1):
-            stack.append(
-                (j - 1, tuple(map(and_, inter, meets[j])), (subsets[j],) + masks)
-            )
+        run, inter, blocks = pop()
+        if inter & mask == want:
+            yield inter, blocks
+        for child_run, column, cut, block in run:
+            child = inter & column
+            if not child & cut:
+                push((child_run, child, block + blocks))
 
 
-def _blocks_by_mask(universe: Universe) -> list[Block | None]:
-    """One shared ``Block`` per nonempty subset, indexed by its bit vector
-    (index 0, the empty set, holds ``None``).  Blocks are immutable, so the
-    coverings built from one universe can all share them."""
-    return [None] + [Block._of(universe, m) for m in range(1, universe.full_bits + 1)]
-
-
-def _covering_from_masks(
-    universe: Universe, blocks: list[Block | None], masks: Iterable[int]
-) -> Covering:
-    """``masks`` are distinct, ascending and cover the universe, as
-    ``Covering._of`` requires."""
-    return Covering._of(universe, tuple(map(blocks.__getitem__, masks)))
-
-
-def _coverings(n: int) -> Iterator[tuple[tuple[int, ...], Covering]]:
+def _coverings(n: int) -> Iterator[tuple[int, Covering]]:
     """Every covering of an n-element universe, in enumeration order, with
-    the tuple of its neighborhoods N(x) that the family walk carries."""
+    its neighborhoods N(x) packed as the family walk carries them: the
+    families whose meet has every top bit clear, as each element lies in
+    some member."""
     universe = default_universe(_check_size(n))
-    blocks = _blocks_by_mask(universe)
-    for inter, masks in _families(n, list(range(1, universe.full_bits + 1))):
-        if -1 not in inter:  # the union is the whole universe
-            yield inter, _covering_from_masks(universe, blocks, masks)
+    tops = _pack(n, [1 << n] * n)
+    subsets = list(range(1, universe.full_bits + 1))
+    for inter, blocks in _families(universe, subsets, tops, 0):
+        yield inter, Covering._of(universe, blocks)
 
 
 def enumerate_coverings(n: int) -> Iterator[Covering]:
@@ -181,7 +204,6 @@ def verify_laws(n: int) -> VerificationSummary:
     """
     _check_size(n)
     universe = default_universe(n)
-    blocks = _blocks_by_mask(universe)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
     # image -> the image laws it breaks, for this run only
@@ -202,7 +224,9 @@ def verify_laws(n: int) -> VerificationSummary:
         invariable += inv * weight
         fixed_points += fix * weight
         for law in bad:
-            violations.append((_covering_from_masks(universe, blocks, masks), law))
+            # the masks are distinct, ascending and cover the universe
+            blocks = tuple(Block._of(universe, m) for m in masks)
+            violations.append((Covering._of(universe, blocks), law))
     return VerificationSummary(
         universe_size=n,
         total_coverings=total,
@@ -239,12 +263,13 @@ def census(n: int) -> Iterator[CensusRow]:
     n = 4.
 
     The per-element neighborhoods N(x) fix Cov(C), and the family walk
-    yields them with each covering.  So ``cov`` runs once per distinct
-    neighborhood tuple in a run (355 times for the 32297 coverings of
-    n = 4, one per labelled preorder), and the rows that share a tuple
-    share that one immutable image."""
-    # neighborhood tuple -> its Cov image, for this run only
-    images: dict[tuple[int, ...], Covering] = {}
+    yields them with each covering, packed into one int as the meet it
+    carries.  So ``cov`` runs once per distinct packed meet in a run (355
+    times for the 32297 coverings of n = 4, one per labelled preorder),
+    and the rows that share a meet share that one immutable image.  The
+    walk cuts every subtree whose families cannot cover the universe."""
+    # packed neighborhoods -> their Cov image, for this run only
+    images: dict[int, Covering] = {}
     for inter, c in _coverings(n):
         verdict = is_invariable(c)
         image = images.get(inter)
@@ -275,7 +300,11 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     down-set of this preorder and, for each x, the blocks of C containing
     x intersect to exactly N(x).  So only the families of down-sets are
     walked, by the walk ``enumerate_coverings`` takes over all subsets:
-    the results come in enumeration order by construction.
+    the results come in enumeration order by construction.  The walk
+    wants the packed meet to equal the packed N(x) of ``d``.  Every field
+    of a down-set's column contains N(x), so it cuts a subtree as soon as
+    the subsets still allowed in it cannot shrink some field to N(x), and
+    each result's blocks are the ones it carried.
     """
     if limit is not None:
         if isinstance(limit, bool) or not isinstance(limit, int):
@@ -291,17 +320,15 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     if limit == 0 or not is_cov_fixed_point(d):
         return found
     down = table(d).nbh
-    goal = tuple(down)
     downsets = [
         m
         for m in range(1, 1 << n)
         if all(down[x] & ~m == 0 for x in range(n) if m >> x & 1)
     ]
     universe = d.universe
-    blocks = _blocks_by_mask(universe)
-    for inter, masks in _families(n, downsets):
-        if inter == goal:  # goal holds no -1, so the family covers
-            found.append(_covering_from_masks(universe, blocks, masks))
-            if limit is not None and len(found) >= limit:
-                break
+    everything = (1 << n * (n + 1)) - 1
+    for _, blocks in _families(universe, downsets, everything, _pack(n, down)):
+        found.append(Covering._of(universe, blocks))
+        if limit is not None and len(found) >= limit:
+            break
     return found

@@ -24,9 +24,11 @@ invariants itself:
   every element lies in its own neighborhood;
 - ``reduct`` keeps the irreducible blocks in their order; they cover
   because every reducible block is a union of irreducible ones;
-- enumeration, ``preimages`` and the oracle's violation records take
-  distinct subset masks in ascending order from families whose union they
-  have checked to be the universe;
+- enumeration, ``census`` and ``preimages`` take the blocks that the
+  oracle's family walk carries, distinct and ascending, from families
+  whose packed meet shows that every element lies in some block;
+- the oracle's violation records take distinct subset masks in ascending
+  order from coverings the law checker walked;
 - the blocks of ``neighborhood`` and ``core_block`` are N(x), an
   intersection of blocks that holds x.
 
@@ -90,10 +92,21 @@ class Universe(_Frozen):
         names = tuple(_iterate(names, "element labels must be a collection of strings"))
         if not names:
             raise InvalidUniverse("a universe needs at least one element")
-        if not all(isinstance(name, str) for name in names):
-            raise InvalidUniverse("element labels must be strings")
+        for i, name in enumerate(names):
+            if not isinstance(name, str):
+                raise InvalidUniverse(
+                    f"element labels must be strings; label #{i} is "
+                    f"{type(name).__name__}"
+                )
         if len(set(names)) != len(names):
-            raise InvalidUniverse("element labels must be pairwise distinct")
+            seen: set[str] = set()
+            for name in names:  # name the first label that repeats
+                if name in seen:
+                    raise InvalidUniverse(
+                        f"element labels must be pairwise distinct; "
+                        f"{name!r} repeats"
+                    )
+                seen.add(name)
         if len(names) > MAX_UNIVERSE_SIZE:
             raise UniverseTooLarge(
                 f"universe has {len(names)} elements; the bit-vector core "

@@ -252,6 +252,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "#1" in err and "'7'" in err
 
+    def test_repeated_label_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"universe": ["a", "b", "a"], "blocks": [["a", "b"]]}')
+        assert run(["cov", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: element labels must be pairwise distinct; 'a' repeats"
+        ]
+
     def test_not_a_cover_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"universe": ["1", "2"], "blocks": [["1"]]}')

@@ -29,6 +29,7 @@ from covrough import (
     verify_laws,
 )
 from covrough import _laws, oracle
+from covrough._table import table
 
 from .oracles import (
     covering_count_closed_form,
@@ -105,6 +106,18 @@ class TestEnumerateCoverings:
         # n=5 has 2**31 families: the first 2000 coverings are compared
         got = [_masks(c) for c in islice(enumerate_coverings(5), 2000)]
         assert got == list(islice(covering_masks_scan(5), 2000))
+
+    @pytest.mark.parametrize(
+        "n, count", [(1, None), (2, None), (3, None), (4, None), (5, 2000)]
+    )
+    def test_packed_key_is_the_neighborhoods(self, n, count):
+        """The walk's packed meet holds N(x) in bits x * (n + 1) up, with
+        every field's top bit clear, and nothing above the last field."""
+        field = (1 << n + 1) - 1
+        for key, c in islice(oracle._coverings(n), count):
+            fields = [key >> x * (n + 1) & field for x in range(n)]
+            assert fields == list(table(c).nbh)
+            assert key >> n * (n + 1) == 0
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):

@@ -54,12 +54,18 @@ class TestUniverse:
             Universe(())
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(InvalidUniverse):
+        # the message names the first label that repeats an earlier one
+        with pytest.raises(InvalidUniverse, match="pairwise distinct; 'a' repeats"):
             Universe(("a", "b", "a"))
+        with pytest.raises(InvalidUniverse, match="'b' repeats"):
+            Universe(("a", "b", "b", "a"))
 
     def test_non_string_labels_rejected(self):
-        with pytest.raises(InvalidUniverse):
+        # the message names the position of the first label that is no str
+        with pytest.raises(InvalidUniverse, match="strings; label #0 is int"):
             Universe((1, 2))
+        with pytest.raises(InvalidUniverse, match="label #2 is NoneType"):
+            Universe(("a", "b", None))
 
     def test_one_string_rejected(self):
         # its characters would otherwise become the labels
