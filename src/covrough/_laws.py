@@ -39,12 +39,6 @@ _ORBIT_COUNTS = {1: 1, 2: 4, 3: 34, 4: 1952, 5: 18664632}
 _CoveringState = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _meet_columns(n: int, subsets: Iterable[int]) -> list[tuple[int, ...]]:
-    """Per subset, over the elements x: the subset where it holds x and -1,
-    which every intersection leaves alone, elsewhere."""
-    return [tuple(m if m >> x & 1 else -1 for x in range(n)) for m in subsets]
-
-
 # --- one covering per relabelling orbit -------------------------------------
 
 
@@ -66,10 +60,12 @@ def _element_columns(
     n: int,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Per family-mask bit j, over the elements x, for the subset j + 1:
-    its ``_meet_columns`` entry, and whether it holds x, as 1 or 0."""
+    the subset where it holds x and -1, which every intersection leaves
+    alone, elsewhere; and whether it holds x, as 1 or 0."""
     subsets = range(1, 1 << n)
+    meets = tuple(tuple(m if m >> x & 1 else -1 for x in range(n)) for m in subsets)
     member = tuple(tuple(m >> x & 1 for x in range(n)) for m in subsets)
-    return tuple(_meet_columns(n, subsets)), member
+    return meets, member
 
 
 def _orbit_representatives(

@@ -8,7 +8,7 @@ stands for the covering's j-th block in canonical order).
 
 Element x has a core block exactly when N(x) is itself a block, and the
 core block is then N(x).  The table holds that rule once, as one flag per
-element next to the per-block reducibility flags; core blocks and the
+element next to the per-block reducibility witnesses; core blocks and the
 invariability test both read it.
 
 Reducibility is bit-parallel over block indices.  The blocks that are
@@ -16,18 +16,21 @@ proper subsets of block k are all blocks except k that contain no element
 outside k: everything but k, minus the union of S_x over the x outside k.
 Block k is the union of those blocks exactly when each of its elements
 lies in one of them, that is, when S_x meets that set for every x in k.
+One pass computes that set for every block and keeps it as the block's
+witness when the test holds, and 0 when it fails, so the reducibility
+verdicts and the witnesses that reports list come from one computation.
 
 The union of S_x over the elements outside a block is the inner step of
-that test.  With more than 8 elements it is read from per-chunk union
+that pass.  With more than 8 elements it is read from per-chunk union
 tables, the "Four Russians" method (Arlazarov, Dinic, Kronrod and
 Faradzev, 1970): for each run of 8 elements, a table of up to 256 entries
 holds the union of S_x over every subset of the run, so the union for a
 block costs one lookup per 8 elements (8 at n=64, against one step per
-element outside the block).  The tables are built on first use, once per
-covering.  With at most 8 elements no tables are built: building them
-for every covering made the table pass over all coverings with n=3
-40-55% slower, and with n=4 about 20% slower (best of 7 runs, Python
-3.11).  A mask there fits in one byte, and ``BYTE_BITS`` lists the
+element outside the block).  The pass builds the tables for its own use
+and does not keep them.  With at most 8 elements no tables are built:
+building them for every covering made the table pass over all coverings
+with n=3 40-55% slower, and with n=4 about 20% slower (best of 7 runs,
+Python 3.11).  A mask there fits in one byte, and ``BYTE_BITS`` lists the
 elements of each byte value, so one lookup reads the elements outside a
 block, as it reads a block's elements for the pass over the blocks and
 for the test of each element.  Above 8 elements those two walk the set
@@ -55,12 +58,11 @@ class BitTable:
     """Neighborhoods and containing-block sets of one family of blocks.
 
     ``masks`` are the block bit vectors in canonical order, ``nbh[x]`` is
-    N(x) and ``holders[x]`` is S_x.  The per-block ``reducible`` flags,
-    the per-element ``cored`` flags and, above 8 elements, the per-chunk
-    union tables are computed on first use.
+    N(x) and ``holders[x]`` is S_x.  The per-block ``witnesses`` and the
+    per-element ``cored`` flags are computed on first use.
     """
 
-    __slots__ = ("n", "masks", "nbh", "holders", "_reducible", "_cored", "_unions")
+    __slots__ = ("n", "masks", "nbh", "holders", "_witnesses", "_cored")
 
     def __init__(self, n: int, masks: list[int]) -> None:
         nbh = [-1] * n
@@ -85,76 +87,58 @@ class BitTable:
         self.masks = masks
         self.nbh = nbh
         self.holders = holders
-        self._reducible: list[bool] | None = None
+        self._witnesses: list[int] | None = None
         self._cored: list[bool] | None = None
-        self._unions: list[list[int]] | None = None
-
-    def _chunk_unions(self) -> list[list[int]]:
-        """Per run of 8 elements, the union of S_x over each subset of
-        the run, indexed by the subset's bits within the run."""
-        if self._unions is None:
-            unions = []
-            for start in range(0, self.n, 8):
-                chunk = self.holders[start : start + 8]
-                entries = [0] * (1 << len(chunk))
-                for s in range(1, len(entries)):
-                    low = s & -s
-                    entries[s] = entries[s ^ low] | chunk[low.bit_length() - 1]
-                unions.append(entries)
-            self._unions = unions
-        return self._unions
-
-    def subsets(self, j: int) -> int:
-        """Block-index mask of the blocks that are proper subsets of
-        block ``j``."""
-        union = 1 << j
-        outside = ~self.masks[j] & ((1 << self.n) - 1)
-        if self.n > 8:
-            for entries in self._chunk_unions():
-                union |= entries[outside & 255]
-                outside >>= 8
-        else:
-            holders = self.holders
-            for x in BYTE_BITS[outside]:
-                union |= holders[x]
-        return ((1 << len(self.masks)) - 1) ^ union
 
     @property
-    def reducible(self) -> list[bool]:
-        """Per block: is it the union of the blocks it properly contains."""
-        if self._reducible is None:
-            holders = self.holders
-            flags = []
-            if self.n > 8:
-                for j, k in enumerate(self.masks):
-                    subs = self.subsets(j)
-                    hit = subs != 0
+    def witnesses(self) -> list[int]:
+        """Per block j: the block-index mask of the blocks that are proper
+        subsets of block j when their union is block j, and 0 otherwise.
+        Block j is reducible exactly when its entry is nonzero."""
+        if self._witnesses is None:
+            n, masks, holders = self.n, self.masks, self.holders
+            full = (1 << n) - 1
+            every = (1 << len(masks)) - 1
+            out = []
+            if n > 8:
+                # per run of 8 elements, the union of S_x over each subset
+                # of the run, indexed by the subset's bits within the run
+                unions = []
+                for start in range(0, n, 8):
+                    chunk = holders[start : start + 8]
+                    entries = [0] * (1 << len(chunk))
+                    for s in range(1, len(entries)):
+                        low = s & -s
+                        entries[s] = entries[s ^ low] | chunk[low.bit_length() - 1]
+                    unions.append(entries)
+                for j, k in enumerate(masks):
+                    union = 1 << j
+                    outside = full ^ k
+                    for entries in unions:
+                        union |= entries[outside & 255]
+                        outside >>= 8
+                    subs = every ^ union
                     rest = k
-                    while hit and rest:
+                    while rest:
                         low = rest & -rest
-                        hit = holders[low.bit_length() - 1] & subs != 0
+                        if not holders[low.bit_length() - 1] & subs:
+                            subs = 0
+                            break
                         rest ^= low
-                    flags.append(hit)
+                    out.append(subs)
             else:
-                # subsets(j) inlined: the union of S_x over the complement
-                # of block j, then the test of its own elements, each
-                # read with one lookup
-                full = (1 << self.n) - 1
-                every = (1 << len(self.masks)) - 1
-                for j, k in enumerate(self.masks):
+                for j, k in enumerate(masks):
                     union = 1 << j
                     for x in BYTE_BITS[full ^ k]:
                         union |= holders[x]
                     subs = every ^ union
-                    hit = subs != 0
-                    if hit:
-                        for x in BYTE_BITS[k]:
-                            if not holders[x] & subs:
-                                hit = False
-                                break
-                    flags.append(hit)
-            self._reducible = flags
-        return self._reducible
+                    for x in BYTE_BITS[k]:
+                        if not holders[x] & subs:
+                            subs = 0
+                            break
+                    out.append(subs)
+            self._witnesses = out
+        return self._witnesses
 
     @property
     def cored(self) -> list[bool]:

@@ -71,6 +71,6 @@ def quick_reject_neighborhoods(c: Covering) -> RejectReason | None:
     """
     if len(c.blocks) > c.universe.size:
         return RejectReason.TOO_MANY_BLOCKS
-    if any(table(c).reducible):
+    if any(table(c).witnesses):
         return RejectReason.REDUCIBLE_BLOCK
     return None

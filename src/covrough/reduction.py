@@ -4,15 +4,9 @@ A block is reducible when it equals the union of other blocks of the
 covering.  Any such union can only use proper subsets of the block, so a
 block is reducible exactly when the union of all its proper-subset blocks
 rebuilds it; no subfamily needs enumerating.  The covering's bit table
-(see ``_table``) finds every block's proper subsets at once, bit-parallel
-over block indices, and a block is reducible when each of its elements
-lies in one of them.  The blocks that meet a block's complement, the
-inner step, come from per-chunk union tables above 8 elements: one
-lookup per run of 8 elements, built once per covering.  Up to 8 elements
-the complement's elements are read with one byte lookup instead, because
-there building the tables costs more than it saves (built for every
-covering, they made the table pass over all coverings with n=3 40-55%
-slower).
+(see ``_table``, which also describes its switch at 8 elements) finds
+every block's proper subsets in one bit-parallel pass and keeps them as
+the block's witness exactly when the block is reducible.
 
 The reduct is the family of irreducible blocks.  Removing a reducible
 block never changes whether another block is reducible: every reducible
@@ -24,8 +18,8 @@ in any order, gives.
 An invariable covering is an irreducible covering in which every element
 has a core block.  These are exactly the coverings equal to their own
 neighborhoods; the oracle module checks that equivalence exhaustively.
-Both halves of the test read the bit table: its reducibility flags and
-its per-element core-block flags, which ``degrees.core_block`` reads too.
+Both halves of the test read the bit table: its reducibility witnesses
+and its per-element core-block flags, which ``degrees.core_block`` reads too.
 """
 
 from __future__ import annotations
@@ -72,31 +66,28 @@ def is_reducible_element(c: Covering, k: Block) -> tuple[Block, ...] | None:
     if k not in c:
         raise BlockNotInCovering(f"block {k} is not in the covering")
     t = table(c)
-    j = bisect_left(t.masks, k.bits)
-    return tuple(pick(c, t.subsets(j))) if t.reducible[j] else None
+    w = t.witnesses[bisect_left(t.masks, k.bits)]
+    return tuple(pick(c, w)) if w else None
 
 
 def reducibility_report(c: Covering) -> ReducibilityReport:
-    t = table(c)
-    per = {
-        b: tuple(pick(c, t.subsets(j))) if reducible else None
-        for j, (b, reducible) in enumerate(zip(c.blocks, t.reducible))
-    }
+    witnesses = table(c).witnesses
+    per = {b: tuple(pick(c, w)) if w else None for b, w in zip(c.blocks, witnesses)}
     return ReducibilityReport(
         per_block=per,
-        is_irreducible_covering=not any(t.reducible),
+        is_irreducible_covering=not any(witnesses),
     )
 
 
 def reduct(c: Covering) -> Covering:
     """The irreducible blocks of ``c``: one pass over the bit-parallel
-    reducibility flags.
+    reducibility witnesses.
 
     This equals removing reducible blocks one at a time until none remain,
     in any order (see the module docstring); the oracle checks that
     against its own iterative reduction on every small covering.
     """
-    kept = tuple(b for b, r in zip(c.blocks, table(c).reducible) if not r)
+    kept = tuple(b for b, w in zip(c.blocks, table(c).witnesses) if not w)
     return Covering._of(c.universe, kept)
 
 
@@ -104,7 +95,7 @@ def is_invariable(c: Covering) -> InvariabilityVerdict:
     """Decide whether ``c`` is invariable: irreducible and every element
     has a core block."""
     t = table(c)
-    reducible = tuple(compress(c.blocks, t.reducible))
+    reducible = tuple(compress(c.blocks, t.witnesses))
     missing = tuple(compress(c.universe.names, map(not_, t.cored)))
     return InvariabilityVerdict(
         invariable=not reducible and not missing,

@@ -80,9 +80,9 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
         BlockRow(
             block=b,
             core_block_of=tuple(core_of.get(b.bits, ())),
-            witness=tuple(pick(c, t.subsets(j))) if reducible else None,
+            witness=tuple(pick(c, w)) if w else None,
         )
-        for j, (b, reducible) in enumerate(zip(c.blocks, t.reducible))
+        for b, w in zip(c.blocks, t.witnesses)
     )
     verdict = is_invariable(c)
     classification = Classification(

@@ -428,10 +428,14 @@ def covering_from_dict(data: object) -> Covering:
         block_lists = data["blocks"]
     except KeyError as exc:
         raise FileFormatError(f"covering file is missing key {exc}") from None
-    if not isinstance(universe_names, list) or not all(
-        isinstance(n, str) for n in universe_names
-    ):
+    if not isinstance(universe_names, list):
         raise FileFormatError('"universe" must be a list of strings')
+    for i, name in enumerate(universe_names):
+        if not isinstance(name, str):
+            raise FileFormatError(
+                f'"universe" must be a list of strings; entry #{i} is '
+                f"{type(name).__name__}"
+            )
     if not isinstance(block_lists, list):
         raise FileFormatError('"blocks" must be a list')
     for i, b in enumerate(block_lists):

@@ -261,6 +261,15 @@ class TestErrorHandling:
             "error: element labels must be pairwise distinct; 'a' repeats"
         ]
 
+    def test_non_string_universe_entry_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"universe": ["a", 2], "blocks": [["a"]]}')
+        assert run(["cov", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            'error: "universe" must be a list of strings; entry #1 is int'
+        ]
+
     def test_not_a_cover_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"universe": ["1", "2"], "blocks": [["1"]]}')

@@ -58,38 +58,55 @@ class TestIsReducibleElement:
             assert union == b.bits
 
 
+def _witnesses_by_definition(masks):
+    """Per block k: the index mask of the blocks that are proper subsets
+    of k if their union is k, else 0."""
+    out = []
+    for k in masks:
+        subs = [i for i, m in enumerate(masks) if m != k and m & ~k == 0]
+        union = 0
+        for i in subs:
+            union |= masks[i]
+        out.append(sum(1 << i for i in subs) if union == k else 0)
+    return out
+
+
 class TestBitParallelFlags:
-    """The table's bit-parallel reducibility flags against the oracle's
-    pairwise subset scan."""
+    """The table's bit-parallel reducibility witnesses against the
+    definition, and their truth values against the oracle's pairwise
+    subset scan."""
+
+    @staticmethod
+    def _check(t, masks):
+        assert t.witnesses == _witnesses_by_definition(masks)
+        assert [w != 0 for w in t.witnesses] == _reducible_flags(masks)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_match_oracle_exhaustively(self, n):
         for masks in covering_masks_scan(n):
-            assert BitTable(n, list(masks)).reducible == _reducible_flags(masks)
+            self._check(BitTable(n, list(masks)), masks)
 
     def test_match_oracle_on_five_element_representatives(self):
         # the many-block shapes of n=5, which has 2**31 families: the first
         # 20000 orbit representatives
         for masks, _, _ in islice(_orbit_representatives(5), 20000):
-            assert BitTable(5, list(masks)).reducible == _reducible_flags(masks)
+            self._check(BitTable(5, list(masks)), masks)
 
     @settings(max_examples=200)
     @given(coverings(max_elements=64, max_blocks=40))
     def test_match_oracle_random(self, c):
-        masks = tuple(b.bits for b in c.blocks)
-        assert table(c).reducible == _reducible_flags(masks)
+        self._check(table(c), tuple(b.bits for b in c.blocks))
 
     @settings(max_examples=200)
     @given(planted_coverings())
     def test_union_tables_match_oracle(self, c):
-        """Flags, witnesses and the reduct against direct scans, on both
-        sides of the 8-element switch: the byte lookups up to 8 elements
-        and the per-chunk union tables above."""
+        """Witnesses, the reports that list them and the reduct against
+        direct scans, on both sides of the 8-element switch: the byte
+        lookups up to 8 elements and the per-chunk union tables above."""
         masks = tuple(b.bits for b in c.blocks)
-        flags = _reducible_flags(masks)
-        assert table(c).reducible == flags
+        self._check(table(c), masks)
         report = reducibility_report(c).per_block
-        for b, reducible in zip(c.blocks, flags):
+        for b, reducible in zip(c.blocks, _reducible_flags(masks)):
             subs = tuple(m for m in c.blocks if m != b and m.bits & ~b.bits == 0)
             expected = subs if reducible else None
             assert report[b] == expected
@@ -97,12 +114,12 @@ class TestBitParallelFlags:
         assert tuple(b.bits for b in reduct(c).blocks) == _reduct_masks(masks)
 
     @pytest.mark.parametrize("n", [8, 9])
-    def test_union_tables_only_above_8_elements(self, n):
-        """Up to 8 elements the subset test reads the elements outside the
-        block with one byte lookup and builds no union tables."""
+    def test_witness_values_at_8_and_9_elements(self, n):
+        """The singletons and the full set, on either side of the switch:
+        only the full set is reducible, and its witness is every
+        singleton."""
         t = BitTable(n, [1 << x for x in range(n)] + [(1 << n) - 1])
-        assert t.reducible == [False] * n + [True]
-        assert (t._unions is not None) == (n > 8)
+        assert t.witnesses == [0] * n + [(1 << n) - 1]
 
     def test_byte_lookup_is_the_bit_walk(self):
         for v in range(256):
@@ -124,10 +141,8 @@ class TestBitParallelFlags:
             narrow = BitTable(4, list(masks))
             wide = BitTable(9, list(masks) + [pad])
             b = len(masks)
-            assert wide.reducible == narrow.reducible + [False]
-            assert [wide.subsets(j) for j in range(b)] == [
-                narrow.subsets(j) for j in range(b)
-            ]
+            self._check(wide, masks + (pad,))
+            assert wide.witnesses == narrow.witnesses + [0]
             assert wide.nbh == narrow.nbh + [pad] * 5
             assert wide.holders == narrow.holders + [1 << b] * 5
             assert wide.cored == narrow.cored + [True] * 5

@@ -451,6 +451,8 @@ class TestFileFormat:
             covering_from_dict({"universe": ["1"], "blocks": [["1"], [1]]})
         with pytest.raises(FileFormatError):
             covering_from_dict({"universe": "12", "blocks": [["1"]]})
+        with pytest.raises(FileFormatError, match="entry #1 is int$"):
+            covering_from_dict({"universe": ["a", 2], "blocks": [["a"]]})
         with pytest.raises(FileFormatError, match='"blocks" must be a list'):
             covering_from_dict({"universe": ["1"], "blocks": "1"})
 
