@@ -10,8 +10,8 @@ class InvalidUniverse(CoveringError):
 
 
 class UniverseTooLarge(CoveringError):
-    """Universe exceeds a documented size limit (bit-vector width or
-    the cap on exhaustive enumeration)."""
+    """Universe exceeds one of the oracle's caps: exhaustive enumeration
+    above 5 elements or the preimage search above 4."""
 
 
 class EmptyBlock(CoveringError):

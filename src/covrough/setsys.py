@@ -52,13 +52,11 @@ from .errors import (
     FileFormatError,
     InvalidUniverse,
     NotACover,
-    UniverseTooLarge,
     UnknownElement,
 )
 
-# One machine word.  The exhaustive tooling never needs more than 5 elements;
-# this cap only bounds the bit-vector representation for direct library use.
-MAX_UNIVERSE_SIZE = 64
+# A NotACover message names at most this many missing elements.
+_MISSING_NAMED = 10
 
 
 # Writes a slot of the immutable types below, past their ``__setattr__``.
@@ -107,11 +105,6 @@ class Universe(_Frozen):
                         f"{name!r} repeats"
                     )
                 seen.add(name)
-        if len(names) > MAX_UNIVERSE_SIZE:
-            raise UniverseTooLarge(
-                f"universe has {len(names)} elements; the bit-vector core "
-                f"supports at most {MAX_UNIVERSE_SIZE}"
-            )
         _set(self, "names", names)
         _set(self, "_index", {n: i for i, n in enumerate(names)})
 
@@ -300,8 +293,11 @@ class Covering(_Frozen):
                     raise DuplicateBlock(f"blocks #{j} and #{i} are identical")
         if union != u.full_bits:
             missing = [name for i, name in enumerate(u.names) if not union >> i & 1]
+            more = len(missing) - _MISSING_NAMED
             raise NotACover(
-                "union of blocks misses element(s): " + ", ".join(missing)
+                "union of blocks misses element(s): "
+                + ", ".join(missing[:_MISSING_NAMED])
+                + (f" and {more} more" if more > 0 else "")
             )
         _set(self, "universe", u)
         _set(self, "blocks", tuple(sorted(given, key=attrgetter("bits"))))
@@ -419,6 +415,18 @@ def covering_to_dict(c: Covering) -> dict:
     }
 
 
+def _check_strings(items: object, what: str) -> None:
+    """Raise ``FileFormatError`` unless ``items`` is a list of strings,
+    naming the first entry that is not."""
+    if not isinstance(items, list):
+        raise FileFormatError(f"{what} must be a list of strings")
+    for i, x in enumerate(items):
+        if not isinstance(x, str):
+            raise FileFormatError(
+                f"{what} must be a list of strings; entry #{i} is {type(x).__name__}"
+            )
+
+
 def covering_from_dict(data: object) -> Covering:
     """Parse the file-format dictionary, applying full validation."""
     if not isinstance(data, dict):
@@ -428,19 +436,11 @@ def covering_from_dict(data: object) -> Covering:
         block_lists = data["blocks"]
     except KeyError as exc:
         raise FileFormatError(f"covering file is missing key {exc}") from None
-    if not isinstance(universe_names, list):
-        raise FileFormatError('"universe" must be a list of strings')
-    for i, name in enumerate(universe_names):
-        if not isinstance(name, str):
-            raise FileFormatError(
-                f'"universe" must be a list of strings; entry #{i} is '
-                f"{type(name).__name__}"
-            )
+    _check_strings(universe_names, '"universe"')
     if not isinstance(block_lists, list):
         raise FileFormatError('"blocks" must be a list')
     for i, b in enumerate(block_lists):
-        if not isinstance(b, list) or not all(isinstance(x, str) for x in b):
-            raise FileFormatError(f"block #{i} must be a list of strings")
+        _check_strings(b, f"block #{i}")
     return make_covering(Universe(tuple(universe_names)), block_lists)
 
 

@@ -32,7 +32,7 @@ def coverings(draw, min_elements=1, max_elements=6, max_blocks=12):
 
 # The bit table reads the elements in runs of 8 (see covrough._table);
 # each pair sits on both sides of a boundary between two runs.
-_STRADDLES = ((7, 8), (15, 16), (55, 56))
+_STRADDLES = ((7, 8), (15, 16), (55, 56), (63, 64), (127, 128))
 
 
 def _mask(elements):
@@ -41,17 +41,18 @@ def _mask(elements):
 
 @st.composite
 def planted_coverings(draw, max_blocks=24, max_unions=8):
-    """Random covering of 2 to 64 elements in which some blocks are unions
+    """Random covering of 2 to 200 elements in which some blocks are unions
     of others.  One of the three branches of the size draw stays at or
     below 8 elements, where the bit table reads elements by byte lookup.
 
     Small random blocks come first, then one block across each run
     boundary that the universe reaches and one holding the last element
-    (63 when n = 64), then one block of the elements still uncovered.
+    (199 when n = 200), then one block of the elements still uncovered.
     Unions of two or three of these blocks are planted on top; some of
     them get one more element, so that a block can have proper subsets
     without being their union."""
-    n = draw(st.integers(2, 8) | st.sampled_from((9, 17, 57, 64)) | st.integers(9, 64))
+    sizes = st.sampled_from((9, 17, 57, 64, 65, 128, 200)) | st.integers(9, 200)
+    n = draw(st.integers(2, 8) | sizes)
     element = st.integers(0, n - 1)
     small = st.frozensets(element, min_size=1, max_size=6)
     drawn = draw(st.lists(small, min_size=1, max_size=max_blocks))

@@ -270,11 +270,32 @@ class TestErrorHandling:
             'error: "universe" must be a list of strings; entry #1 is int'
         ]
 
+    def test_non_string_block_entry_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"universe": ["a", "b"], "blocks": [["a"], ["b", 2]]}')
+        assert run(["cov", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: block #1 must be a list of strings; entry #1 is int"
+        ]
+
     def test_not_a_cover_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"universe": ["1", "2"], "blocks": [["1"]]}')
         assert run(["cov", str(path)]) == 1
         assert "misses element" in capsys.readouterr().err
+
+    def test_sparse_file_names_ten_missing_elements(self, capsys, tmp_path):
+        # 100000 labels and one block: a single error line that names the
+        # first 10 missing labels and counts the rest
+        names = [f"e{i}" for i in range(100_000)]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"universe": names, "blocks": [["e0"]]}))
+        assert run(["cov", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: union of blocks misses element(s): "
+            + ", ".join(names[1:11]) + " and 99989 more"
+        ]
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -1,10 +1,14 @@
+import random
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
 from covrough import (
+    Block,
     BlockNotInCovering,
+    Covering,
+    Universe,
     cov,
     core_block_assignment,
     enumerate_coverings,
@@ -18,7 +22,13 @@ from covrough import (
 from covrough._table import BYTE_BITS, BitTable, table
 from covrough._laws import _orbit_representatives, _reduct_masks, _reducible_flags
 
-from .oracles import covering_masks_scan, family_of, is_union_of_others
+from .oracles import (
+    cov_bruteforce,
+    covering_masks_scan,
+    family_of,
+    is_union_of_others,
+    reduct_restarting,
+)
 from .strategies import coverings, planted_coverings
 
 
@@ -71,6 +81,30 @@ def _witnesses_by_definition(masks):
     return out
 
 
+def _wide_covering(n):
+    """A seeded covering of n elements: 300 random blocks of 1 to 8
+    elements, singletons for the elements they miss, then 30 unions of two
+    or three of those blocks, about half of them with one more element."""
+    rng = random.Random(n)
+    masks = set()
+    for _ in range(300):
+        masks.add(sum(1 << x for x in rng.sample(range(n), rng.randint(1, 8))))
+    union = 0
+    for m in masks:
+        union |= m
+    masks |= {1 << x for x in range(n) if not union >> x & 1}
+    parts = sorted(masks)
+    for _ in range(30):
+        planted = 0
+        for m in rng.sample(parts, rng.randint(2, 3)):
+            planted |= m
+        if rng.random() < 0.5:
+            planted |= 1 << rng.randrange(n)
+        masks.add(planted)
+    u = Universe(tuple(f"x{i}" for i in range(n)))
+    return Covering(u, tuple(Block(u, m) for m in sorted(masks)))
+
+
 class TestBitParallelFlags:
     """The table's bit-parallel reducibility witnesses against the
     definition, and their truth values against the oracle's pairwise
@@ -112,6 +146,26 @@ class TestBitParallelFlags:
             assert report[b] == expected
             assert is_reducible_element(c, b) == expected
         assert tuple(b.bits for b in reduct(c).blocks) == _reduct_masks(masks)
+
+    @pytest.mark.parametrize("n", [65, 200, 1024])
+    def test_wide_universes_match_definitions(self, n):
+        """Past 64 elements, the table's neighborhoods and witnesses, Cov
+        and the reduct equal their definitions over sets of labels."""
+        c = _wide_covering(n)
+        masks = tuple(b.bits for b in c.blocks)
+        t = table(c)
+        self._check(t, masks)
+        assert 0 < sum(w != 0 for w in t.witnesses) < len(masks)
+        fam = family_of(c)
+        names = c.universe.names
+        nbh = [frozenset(names[x] for x in range(n) if m >> x & 1) for m in t.nbh]
+        assert nbh == [
+            frozenset.intersection(*(k for k in fam if x in k)) for x in names
+        ]
+        assert family_of(cov(c)) == cov_bruteforce(c)
+        assert [frozenset(b.members()) for b in reduct(c)] == reduct_restarting(
+            [frozenset(b.members()) for b in c.blocks]
+        )
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_witness_values_at_8_and_9_elements(self, n):

@@ -19,7 +19,6 @@ from covrough import (
     InvalidUniverse,
     NotACover,
     Universe,
-    UniverseTooLarge,
     UnknownElement,
     blocks_containing,
     common_block_repeat_degree,
@@ -72,10 +71,17 @@ class TestUniverse:
         with pytest.raises(InvalidUniverse, match="not one str"):
             Universe("123")
 
-    def test_word_width_cap(self):
-        Universe(tuple(f"e{i}" for i in range(64)))  # at the cap is fine
-        with pytest.raises(UniverseTooLarge):
-            Universe(tuple(f"e{i}" for i in range(65)))
+    @pytest.mark.parametrize("n", [65, 1024])
+    def test_wide_universes_round_trip(self, n, tmp_path):
+        """Blocks are ints of any width: past 64 elements a universe builds
+        and a covering over it is written and read back unchanged."""
+        u = Universe(tuple(f"e{i}" for i in range(n)))
+        assert u.size == n and u.full_bits.bit_length() == n
+        halves = [u.names[: n // 2], u.names[n // 2 - 1 :], (u.names[-1],)]
+        c = make_covering(u, halves)
+        path = tmp_path / "wide.json"
+        write_covering(c, str(path))
+        assert read_covering(str(path)) == c
 
     def test_unknown_element(self, u3):
         with pytest.raises(UnknownElement):
@@ -277,6 +283,21 @@ class TestMakeCovering:
         with pytest.raises(NotACover, match="3"):
             make_covering(u3, [["1", "2"]])
 
+    @pytest.mark.parametrize(
+        "missing, tail",
+        [(1, "e1"), (10, "e1, e2, e3, e4, e5, e6, e7, e8, e9, e10"),
+         (11, "e1, e2, e3, e4, e5, e6, e7, e8, e9, e10 and 1 more"),
+         (99999, "e1, e2, e3, e4, e5, e6, e7, e8, e9, e10 and 99989 more")],
+        ids=["1", "10", "11", "99999"],
+    )
+    def test_not_a_cover_names_at_most_ten(self, missing, tail):
+        """Up to 10 missing elements are all named; past 10 the message
+        names the first 10 and counts the rest."""
+        u = Universe(tuple(f"e{i}" for i in range(missing + 1)))
+        with pytest.raises(NotACover) as info:
+            make_covering(u, [["e0"]])
+        assert str(info.value) == f"union of blocks misses element(s): {tail}"
+
     def test_empty_block_names_index(self, u3):
         with pytest.raises(EmptyBlock, match="#1"):
             make_covering(u3, [["1", "2", "3"], []])
@@ -453,6 +474,11 @@ class TestFileFormat:
             covering_from_dict({"universe": "12", "blocks": [["1"]]})
         with pytest.raises(FileFormatError, match="entry #1 is int$"):
             covering_from_dict({"universe": ["a", 2], "blocks": [["a"]]})
+        data = {"universe": ["a", "b"], "blocks": [["a"], ["b", 2]]}
+        with pytest.raises(FileFormatError, match="^block #1 .*; entry #1 is int$"):
+            covering_from_dict(data)
+        with pytest.raises(FileFormatError, match="^block #0 .* of strings$"):
+            covering_from_dict({"universe": ["a"], "blocks": ["a"]})
         with pytest.raises(FileFormatError, match='"blocks" must be a list'):
             covering_from_dict({"universe": ["1"], "blocks": "1"})
 
