@@ -7,9 +7,11 @@ walk over the families of a list of subsets, in ascending family-mask
 order: coverings are the families of all 2**n - 1 nonempty subsets whose
 union is the universe.  For each family the walk carries the meets of its
 members as one int, an (n + 1)-bit field per element, and the members
-themselves as shared ``Block`` objects, so a step is one ``&`` and one
-tuple concatenation, and a result is wrapped in a ``Covering`` as it
-stands.  Its caller names the meets it wants, and the walk cuts every
+themselves as shared ``Block`` objects, so a step is one ``&`` with the
+subset's column and one tuple concatenation, and a result is wrapped in a
+``Covering`` as it stands.  The columns depend on n alone, not on the
+labels, so one table of them per universe size is built on first use and
+kept.  Its caller names the meets it wants, and the walk cuts every
 subtree in which no family can have them.  The order is deterministic and
 simple enough to re-implement independently, which the test suite does.
 Its universes are ``setsys.default_universe(n)``, labelled "1".."n",
@@ -24,6 +26,7 @@ checker compares two routes.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Iterable, Iterator, NamedTuple
 
@@ -106,6 +109,18 @@ def _pack(n: int, fields: Iterable[int]) -> int:
     return sum(f << x * (n + 1) for x, f in enumerate(fields))
 
 
+@functools.cache  # built on first use per n, never at import
+def _columns(n: int) -> tuple[int, ...]:
+    """The column of every subset m of an n-element universe, at index m:
+    the packed meet of ``_families`` whose field x is m when x is in m and
+    all n + 1 bits otherwise, so that ANDing it into a family's meet adds m
+    to the intersection of each of its elements."""
+    field = (1 << n + 1) - 1
+    return tuple(
+        _pack(n, (m if m >> x & 1 else field for x in range(n))) for m in range(1 << n)
+    )
+
+
 def _families(
     universe: Universe, subsets: list[int], mask: int, want: int
 ) -> Iterator[tuple[int, tuple[Block, ...]]]:
@@ -129,7 +144,7 @@ def _families(
     under it keeps that bit and fails the test.
     """
     n = universe.size
-    field = (1 << n + 1) - 1
+    columns = _columns(n)
     inter = (1 << (n + 1) * n) - 1  # the empty family: every field all ones
     unmet = mask & ~want
     # runs[k]: one (runs[j], column, cut, (block,)) per child, for
@@ -138,7 +153,7 @@ def _families(
     runs: list[tuple] = [()]
     below = inter  # the AND of the columns of subsets[:j]
     for j, m in enumerate(subsets):
-        column = _pack(n, (m if m >> x & 1 else field for x in range(n)))
+        column = columns[m]
         step = (runs[j], column, below & unmet, (Block._of(universe, m),))
         runs.append((step,) + runs[j])
         below &= column
@@ -199,7 +214,9 @@ def verify_laws(n: int) -> VerificationSummary:
     About every 10 s of wall time, a run logs one INFO record to the
     ``covrough.oracle`` logger with the representatives done out of the
     total, the rate since the previous record and the time left at that
-    rate, so only runs that last that long report anything.  The records
+    rate, so only runs that last that long report anything.  Such a run
+    ends with one more record: the representatives done, and the wall and
+    CPU (``time.process_time``) seconds of the whole run.  The records
     reach a caller only through its own logging configuration.
     """
     _check_size(n)
@@ -210,6 +227,7 @@ def verify_laws(n: int) -> VerificationSummary:
     image_laws: dict[tuple[int, ...], list[str]] = {}
     # the representatives done and the clock at the last progress record
     last_done, last_time = 0, time.perf_counter()
+    start_time, start_cpu = last_time, time.process_time()
     for done, (masks, weight, state) in enumerate(_orbit_representatives(n), 1):
         if not done % _PROGRESS_STRIDE:
             now = time.perf_counter()
@@ -227,6 +245,10 @@ def verify_laws(n: int) -> VerificationSummary:
             # the masks are distinct, ascending and cover the universe
             blocks = tuple(Block._of(universe, m) for m in masks)
             violations.append((Covering._of(universe, blocks), law))
+    if last_done:
+        wall = time.perf_counter() - start_time
+        cpu = time.process_time() - start_cpu
+        _log("verify n=%d: %d orbits done, %.1f s wall, %.1f s CPU", n, done, wall, cpu)
     return VerificationSummary(
         universe_size=n,
         total_coverings=total,
@@ -243,16 +265,19 @@ def _report_progress(n: int, done: int, rate: float) -> None:
     since the previous record, not since the start: the walk meets the
     families with the most blocks first, so the mean rate so far
     understates the current one and its ETA would run high."""
+    total = _ORBIT_COUNTS[n]
+    eta = (total - done) / rate
+    _log("verify n=%d: %d/%d orbits, %.0f/s, ETA %.0f s", n, done, total, rate, eta)
+
+
+def _log(message: str, *args: object) -> None:
+    """Log one INFO record to the ``covrough.oracle`` logger."""
     # Imported here, as only runs that last an interval log: importing
     # logging with the module added about 6 ms (Python 3.11) to every load
     # of it.
     import logging
 
-    total = _ORBIT_COUNTS[n]
-    eta = (total - done) / rate
-    logging.getLogger(__name__).info(
-        "verify n=%d: %d/%d orbits, %.0f/s, ETA %.0f s", n, done, total, rate, eta
-    )
+    logging.getLogger(__name__).info(message, *args)
 
 
 def census(n: int) -> Iterator[CensusRow]:
@@ -298,13 +323,16 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     y <= x iff y is in N(x), whose principal down-sets are the
     neighborhoods.  A covering C has Cov(C) = d iff every block of C is a
     down-set of this preorder and, for each x, the blocks of C containing
-    x intersect to exactly N(x).  So only the families of down-sets are
-    walked, by the walk ``enumerate_coverings`` takes over all subsets:
-    the results come in enumeration order by construction.  The walk
-    wants the packed meet to equal the packed N(x) of ``d``.  Every field
-    of a down-set's column contains N(x), so it cuts a subtree as soon as
-    the subsets still allowed in it cannot shrink some field to N(x), and
-    each result's blocks are the ones it carried.
+    x intersect to exactly N(x).  Every down-set is the union of the
+    principal down-sets of its members, so the down-sets are listed as the
+    unions of the distinct N(x), ascending, with no scan of all subsets.
+    Only the families of down-sets are walked, by the walk
+    ``enumerate_coverings`` takes over all subsets: the results come in
+    enumeration order by construction.  The walk wants the packed meet to
+    equal the packed N(x) of ``d``.  Every field of a down-set's column
+    contains N(x), so it cuts a subtree as soon as the subsets still
+    allowed in it cannot shrink some field to N(x), and each result's
+    blocks are the ones it carried.
     """
     if limit is not None:
         if isinstance(limit, bool) or not isinstance(limit, int):
@@ -320,15 +348,22 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
     if limit == 0 or not is_cov_fixed_point(d):
         return found
     down = table(d).nbh
-    downsets = [
-        m
-        for m in range(1, 1 << n)
-        if all(down[x] & ~m == 0 for x in range(n) if m >> x & 1)
-    ]
     universe = d.universe
     everything = (1 << n * (n + 1)) - 1
-    for _, blocks in _families(universe, downsets, everything, _pack(n, down)):
+    for _, blocks in _families(universe, _downsets(down), everything, _pack(n, down)):
         found.append(Covering._of(universe, blocks))
         if limit is not None and len(found) >= limit:
             break
     return found
+
+
+def _downsets(down: Iterable[int]) -> list[int]:
+    """The nonempty down-sets, ascending, of the preorder whose principal
+    down-sets are ``down``: the unions of its nonempty subfamilies.  A
+    down-set is the union of the principal down-sets of its members, and
+    a union of down-sets is one."""
+    unions = {0}
+    for m in set(down):
+        unions |= {u | m for u in unions}
+    unions.discard(0)
+    return sorted(unions)

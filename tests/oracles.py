@@ -116,6 +116,23 @@ def core_block_definitional(c, x):
     return hits[0] if hits else None
 
 
+def downsets_bruteforce(c):
+    """The nonempty down-sets of the preorder of a fixed point ``c`` of
+    Cov, y <= x iff y lies in every block that holds x, as frozensets of
+    labels: every nonempty set of labels that holds, with each of its
+    labels, all those below it."""
+    fam = family_of(c)
+    below = {
+        x: frozenset.intersection(*[k for k in fam if x in k])
+        for x in c.universe.names
+    }
+    return {
+        frozenset(s)
+        for s in powerset(c.universe.names)
+        if s and all(below[x] <= set(s) for x in s)
+    }
+
+
 def family_of_masks(masks):
     """A family given as subset bit vectors (bit i for element i), as a
     frozenset of frozensets of element indices."""

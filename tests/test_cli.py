@@ -182,15 +182,18 @@ class TestVerifyCommand:
         assert run(["verify", "--n", "4"]) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
-        # with no interval, n=4 logs one record, at 1024 of 1952 orbits;
-        # repeated runs in one process must not stack up handlers
+        # with no interval, n=4 logs one record, at 1024 of 1952 orbits,
+        # and the closing one; repeated runs in one process must not stack
+        # up handlers
         monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 0.0)
         for _ in range(3):
             assert run(["verify", "--n", "4"]) == 0
             captured = capsys.readouterr()
             assert captured.out == quiet.out
-            assert captured.err.startswith("verify n=4: 1024/1952 orbits, ")
-            assert captured.err.count("\n") == 1
+            progress, end = captured.err.splitlines()
+            assert progress.startswith("verify n=4: 1024/1952 orbits, ")
+            assert end.startswith("verify n=4: 1952 orbits done, ")
+            assert captured.err.count("\n") == 2
         log = logging.getLogger("covrough.oracle")
         assert log.handlers == []
         assert log.level == logging.NOTSET

@@ -1,4 +1,5 @@
 import logging
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from covrough import (
     Block,
     CensusRow,
     Covering,
+    Universe,
     UniverseTooLarge,
     census,
     core_block,
@@ -35,6 +37,7 @@ from .oracles import (
     covering_count_closed_form,
     covering_masks_scan,
     coverings_bruteforce,
+    downsets_bruteforce,
     family_mask,
     family_of,
     family_of_masks,
@@ -57,6 +60,17 @@ FROZEN_CENSUS = {
 
 def _masks(c):
     return tuple(b.bits for b in c.blocks)
+
+
+def _fixed_points(n):
+    return [d for d in enumerate_coverings(n) if is_cov_fixed_point(d)]
+
+
+def _relabelled(c, universe):
+    """``c`` with element i of its universe renamed to element i of
+    ``universe``."""
+    rename = dict(zip(c.universe.names, universe.names))
+    return make_covering(universe, [map(rename.get, b.members()) for b in c.blocks])
 
 
 def _computed_state(n, masks):
@@ -378,25 +392,36 @@ class TestVerifyLaws:
 
     def test_progress_is_logged(self, monkeypatch, caplog):
         # with no interval, the clock is read and a record logged once per
-        # 1024 representatives: once in the 1952 at n=4
+        # 1024 representatives: once in the 1952 at n=4, then the run's
+        # closing record
         monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 0.0)
         with caplog.at_level(logging.INFO, logger="covrough.oracle"):
             verify_laws(4)
-        assert len(caplog.records) == 1
-        record = caplog.records[0]
-        assert record.name == "covrough.oracle"
-        assert record.levelno == logging.INFO
-        assert record.getMessage().startswith("verify n=4: 1024/1952 orbits, ")
+        assert len(caplog.records) == 2
+        for record in caplog.records:
+            assert record.name == "covrough.oracle"
+            assert record.levelno == logging.INFO
+        progress, end = (r.getMessage() for r in caplog.records)
+        assert progress.startswith("verify n=4: 1024/1952 orbits, ")
+        assert re.fullmatch(
+            r"verify n=4: 1952 orbits done, \d+\.\d s wall, \d+\.\d s CPU", end
+        )
 
     def test_progress_rate_covers_the_last_interval_only(
         self, monkeypatch, caplog
     ):
         # the clock is read at the start and once per 512 representatives:
         # records at 512 (t=16) and 1536 (t=27, 1024 orbits in 11 s); the
-        # mean rate since the start would read 57/s and ETA 7 s there
-        clock = iter([0.0, 16.0, 20.0, 27.0])
+        # mean rate since the start would read 57/s and ETA 7 s there.  The
+        # closing record reads both clocks again at the end (t=31).
+        clock = iter([0.0, 16.0, 20.0, 27.0, 31.0])
+        cpu = iter([2.0, 26.5])
         monkeypatch.setattr(
-            oracle, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+            oracle,
+            "time",
+            SimpleNamespace(
+                perf_counter=lambda: next(clock), process_time=lambda: next(cpu)
+            ),
         )
         monkeypatch.setattr(oracle, "_PROGRESS_STRIDE", 512)
         monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL_S", 10.0)
@@ -405,6 +430,7 @@ class TestVerifyLaws:
         assert [r.getMessage() for r in caplog.records] == [
             "verify n=4: 512/1952 orbits, 32/s, ETA 45 s",
             "verify n=4: 1536/1952 orbits, 93/s, ETA 4 s",
+            "verify n=4: 1952 orbits done, 31.0 s wall, 24.5 s CPU",
         ]
 
     def test_progress_is_silent_without_logging_configuration(self):
@@ -652,6 +678,68 @@ class TestPreimages:
             full = preimages(d)
             for k in (0, 1, 2, 3, 17, len(full) - 1, len(full), len(full) + 1):
                 assert preimages(d, limit=k) == full[:k]
+
+    def test_relabelled_universe(self):
+        # the walk's per-size table holds no labels: a target over a, b, c
+        # (, d) has the default target's preimages, relabelled, and each
+        # result and block lies in the target's own universe
+        u4 = default_universe(4)
+        chain = [["1"], ["1", "2"], ["1", "2", "3"], ["1", "2", "3", "4"]]
+        targets = _fixed_points(3) + [
+            make_covering(u4, [["1"], ["2"], ["3"], ["4"]]),
+            make_covering(u4, chain),
+        ]
+        for d in targets:
+            letters = Universe(tuple("abcd"[: d.universe.size]))
+            e = _relabelled(d, letters)
+            got = preimages(e)
+            assert got == [_relabelled(c, letters) for c in preimages(d)]
+            for c in got:
+                assert c.universe == letters
+                assert all(b.universe == letters for b in c.blocks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_downsets_equal_the_filter(self, n):
+        # the unions of the principal down-sets against every subset
+        # filtered by the definition of a down-set
+        for d in _fixed_points(n):
+            got = oracle._downsets(table(d).nbh)
+            assert got == sorted(set(got))
+            labelled = {frozenset(Block(d.universe, m).members()) for m in got}
+            assert labelled == downsets_bruteforce(d)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_columns_follow_their_definition(self, n):
+        # field x of subset m's column is m when x is in m, else all ones
+        field = (1 << n + 1) - 1
+        columns = oracle._columns(n)
+        assert len(columns) == 1 << n
+        for m, column in enumerate(columns):
+            fields = [m if m >> x & 1 else field for x in range(n)]
+            assert column == oracle._pack(n, fields)
+            assert [column >> x * (n + 1) & field for x in range(n)] == fields
+            assert column >> n * (n + 1) == 0
+
+    def test_built_on_first_use(self):
+        # importing the module builds no table; a 3-element search builds
+        # the one for n=3 only
+        script = (
+            "from covrough import default_universe, make_covering, oracle; "
+            "print(oracle._columns.cache_info().currsize); "
+            "u = default_universe(3); "
+            "oracle.preimages(make_covering(u, [['1'], ['2'], ['3']])); "
+            "print(oracle._columns.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "0\n1\n"
 
 
 def _assert_revalidates(c):
