@@ -77,9 +77,8 @@ def _orbit_representatives(
     Yields ``(masks, weight, state)``: ``masks`` is the ascending tuple of
     subset bit vectors of the orbit's canonical family, the one whose
     family mask is the largest integer in the orbit, and ``weight`` is
-    n!/|Aut|.  ``state`` is ``(nbh, blkidx, unions)``: the two tables
-    ``_element_tables`` computes from ``masks``, and per block its
-    ``_subset_union`` among them.
+    n!/|Aut|.  ``state`` is ``(nbh, blkidx, unions)`` and equals
+    ``_covering_state(n, masks)``.
 
     Orderly generation: dropping the lowest bit of a canonical mask leaves
     a canonical mask, so a depth-first walk that adds one bit below the
@@ -184,13 +183,19 @@ def _subset_union(k: int, masks: Iterable[int]) -> int:
     return union
 
 
-def _reducible_flags(
-    masks: tuple[int, ...], unions: Iterable[int] | None = None
-) -> list[bool]:
-    """Per block: does the union of its proper-subset blocks rebuild it.
-    ``unions`` holds those unions, one per block, if already known."""
-    if unions is None:
-        unions = [_subset_union(k, masks) for k in masks]
+def _covering_state(n: int, masks: tuple[int, ...]) -> _CoveringState:
+    """The law checker's state computed from the blocks alone, in the form
+    the orbit walk carries it: per element its neighborhood and its
+    block-index set (``_element_tables``), and per block its
+    ``_subset_union`` among the blocks."""
+    nbh, blkidx = _element_tables(n, masks)
+    unions = tuple([_subset_union(k, masks) for k in masks])
+    return tuple(nbh), tuple(blkidx), unions
+
+
+def _reducible_flags(masks: tuple[int, ...], unions: Iterable[int]) -> list[bool]:
+    """Per block: does the union of its proper-subset blocks, given one
+    per block in ``unions``, rebuild it."""
     return list(map(eq, unions, masks))
 
 
@@ -293,7 +298,7 @@ def _check_covering(
     n: int,
     masks: tuple[int, ...],
     image_laws: dict[tuple[int, ...], list[str]],
-    state: _CoveringState | None = None,
+    state: _CoveringState,
 ) -> tuple[bool, bool, bool, bool, list[str]]:
     """Run every law against one covering given as raw bit vectors.
 
@@ -301,16 +306,12 @@ def _check_covering(
     (``_image_laws``) read only the neighborhoods family, which many
     coverings share: ``image_laws`` maps each image checked so far in the
     run to the laws it breaks.  ``state`` is the covering's state as the
-    orbit walk carries it; without it, it is computed from ``masks``.
+    orbit walk carries it, equal to ``_covering_state(n, masks)``.
     Returns (is_partition, is_irreducible, is_invariable, is_fixed_point,
     violated law names).
     """
     bad: list[str] = []
-    if state is None:
-        nbh, blkidx = _element_tables(n, masks)
-        unions = None
-    else:
-        nbh, blkidx, unions = state
+    nbh, blkidx, unions = state
     deg = [s.bit_count() for s in blkidx]
 
     # every element sits inside its own neighborhood

@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_at_least(1),
         required=True,
-        help="universe size, 1..5 (5 takes about 25 minutes)",
+        help="universe size, 1..5 (5 takes about 21 minutes)",
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=_cmd_verify)

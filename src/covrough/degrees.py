@@ -13,6 +13,7 @@ says that N(x) is a block, the same flag the invariability test reads.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from ._table import pick, table
@@ -74,18 +75,20 @@ def core_block(c: Covering, x: str) -> Block | None:
 
 
 def core_block_assignment(c: Covering) -> CoreBlockAssignment:
-    per = {x: core_block(c, x) for x in c.universe.names}
+    t, u = table(c), c.universe
+    cores = {m: Block._of(u, m) for m in compress(t.nbh, t.cored)}
     return CoreBlockAssignment(
-        per_element=per,
-        core_blocks=frozenset(b for b in per.values() if b is not None),
+        per_element=dict(zip(u.names, map(cores.get, t.nbh))),
+        core_blocks=frozenset(cores.values()),
     )
 
 
 def non_core_blocks(c: Covering) -> list[Block]:
     """Blocks of ``c`` that are the core block of no element, in canonical
     order.  Empty for partitions."""
-    cores = core_block_assignment(c).core_blocks
-    return [b for b in c.blocks if b not in cores]
+    t = table(c)
+    cores = set(compress(t.nbh, t.cored))
+    return [b for b in c.blocks if b.bits not in cores]
 
 
 def degree_profile(c: Covering) -> DegreeProfile:

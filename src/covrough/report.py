@@ -137,12 +137,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
             }
             for b in r.blocks
         ],
-        "classification": {
-            "partition": r.classification.partition,
-            "irreducible": r.classification.irreducible,
-            "invariable": r.classification.invariable,
-            "cov_fixed_point": r.classification.cov_fixed_point,
-        },
+        "classification": r.classification._asdict(),
         "cov": cov,
         "cov_equals_covering": r.classification.cov_fixed_point,
     }

@@ -176,9 +176,18 @@ class TestExhaustiveSmallUniverses:
                         assert (lam == deg) == every
 
     def test_core_block_routes_agree(self):
-        for c in enumerate_coverings(3):
-            for x in c.universe:
-                assert core_block(c, x) == core_block_definitional(c, x)
+        """Each core block, the assignment, its set of core blocks and the
+        non-core blocks against the definitional scan, on every covering
+        of up to 3 elements."""
+        for n in (1, 2, 3):
+            for c in enumerate_coverings(n):
+                per = {x: core_block_definitional(c, x) for x in c.universe}
+                assert {x: core_block(c, x) for x in c.universe} == per
+                cores = {b for b in per.values() if b is not None}
+                a = core_block_assignment(c)
+                assert list(a.per_element.items()) == list(per.items())
+                assert a.core_blocks == cores
+                assert non_core_blocks(c) == [b for b in c.blocks if b not in cores]
 
     def test_core_block_minimal_and_equals_neighborhood(self):
         for c in enumerate_coverings(3):

@@ -73,14 +73,6 @@ def _relabelled(c, universe):
     return make_covering(universe, [map(rename.get, b.members()) for b in c.blocks])
 
 
-def _computed_state(n, masks):
-    """The checker's state as computed from the blocks, in the form the
-    orbit walk carries it."""
-    nbh, blkidx = _laws._element_tables(n, masks)
-    unions = tuple(_laws._subset_union(k, masks) for k in masks)
-    return tuple(nbh), tuple(blkidx), unions
-
-
 class TestEnumerateCoverings:
     def test_single_element_universe(self):
         got = list(enumerate_coverings(1))
@@ -185,21 +177,39 @@ class TestOrbitRepresentatives:
             orbit = orbit_bruteforce(fam, 5)
             assert family_mask(fam) == max(map(family_mask, orbit))
             assert weight == len(orbit)
-            assert _laws._check_covering(5, masks, {})[4] == []
+            state = _laws._covering_state(5, masks)
+            assert _laws._check_covering(5, masks, {}, state)[4] == []
 
     @pytest.mark.parametrize(
         "n, count", [(1, 1), (2, 4), (3, 34), (4, 1952), (5, 2000)]
     )
     def test_carried_state(self, n, count):
-        # the state the walk carries down is the state the checker would
-        # compute from the masks, and the checker reads it to the same
-        # result; n=5 is checked on its first 2000 representatives
+        # the state the walk carries down is the state computed from the
+        # masks; n=5 is checked on its first 2000 representatives
         reps = list(islice(_laws._orbit_representatives(n), count))
         assert len(reps) == count
         for masks, _, state in reps:
-            assert state == _computed_state(n, masks)
-            got = _laws._check_covering(n, masks, {}, state)
-            assert got == _laws._check_covering(n, masks, {})
+            assert state == _laws._covering_state(n, masks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_covering_state_by_definition(self, n):
+        # the reference state against frozensets, on every labelled
+        # covering: per element x the intersection of the blocks holding x
+        # and the indices of those blocks, and per block the union of the
+        # blocks that are its proper subsets
+        def members(m):
+            return frozenset(i for i in range(n) if m >> i & 1)
+
+        for masks in covering_masks_scan(n):
+            blocks = [members(m) for m in masks]
+            holding = [[j for j, k in enumerate(blocks) if x in k] for x in range(n)]
+            nbh = [frozenset.intersection(*[blocks[j] for j in h]) for h in holding]
+            unions = [frozenset().union(*[b for b in blocks if b < k]) for k in blocks]
+            got_nbh, got_blkidx, got_unions = _laws._covering_state(n, masks)
+            assert list(map(members, got_nbh)) == nbh
+            indices = [[j for j in range(len(masks)) if s >> j & 1] for s in got_blkidx]
+            assert indices == holding
+            assert list(map(members, got_unions)) == unions
 
 
 class TestPairCounts:
@@ -253,7 +263,8 @@ CORRUPTED_STATES = {
 @pytest.mark.parametrize("law", sorted(CORRUPTED_STATES))
 def test_law_fires_on_corrupted_state(law):
     n, masks, state = CORRUPTED_STATES[law]
-    assert _laws._check_covering(n, masks, {}, _computed_state(n, masks))[4] == []
+    computed = _laws._covering_state(n, masks)
+    assert _laws._check_covering(n, masks, {}, computed)[4] == []
     assert law in _laws._check_covering(n, masks, {}, state)[4]
 
 
@@ -264,7 +275,8 @@ def _labelled_scan(n):
     violations = []
     for masks in covering_masks_scan(n):
         # a fresh image memo per covering checks every image law anew
-        *flags, bad = _laws._check_covering(n, masks, {})
+        state = _laws._covering_state(n, masks)
+        *flags, bad = _laws._check_covering(n, masks, {}, state)
         for i, v in enumerate((1, *flags)):
             totals[i] += v
         violations.extend((masks, law) for law in bad)
