@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from ._laws import (
@@ -173,19 +174,19 @@ def _coverings(n: int) -> Iterator[tuple[int, Covering]]:
     """Every covering of an n-element universe, in enumeration order, with
     its neighborhoods N(x) packed as the family walk carries them: the
     families whose meet has every top bit clear, as each element lies in
-    some member."""
+    some member.  Checks n at the call, before the walk starts."""
     universe = default_universe(_check_size(n))
     tops = _pack(n, [1 << n] * n)
     subsets = list(range(1, universe.full_bits + 1))
-    for inter, blocks in _families(universe, subsets, tops, 0):
-        yield inter, Covering._of(universe, blocks)
+    walk = _families(universe, subsets, tops, 0)
+    return ((inter, Covering._of(universe, blocks)) for inter, blocks in walk)
 
 
 def enumerate_coverings(n: int) -> Iterator[Covering]:
-    """Yield every covering of an n-element universe exactly once, in
-    deterministic order.  Capped at n = 5."""
-    for _, c in _coverings(n):
-        yield c
+    """Every covering of an n-element universe exactly once, in
+    deterministic order, as a generator.  Capped at n = 5; a bad n raises
+    at the call."""
+    return (c for _, c in _coverings(n))
 
 
 def _check_size(n: int) -> int:
@@ -292,10 +293,16 @@ def census(n: int) -> Iterator[CensusRow]:
     carries.  So ``cov`` runs once per distinct packed meet in a run (355
     times for the 32297 coverings of n = 4, one per labelled preorder),
     and the rows that share a meet share that one immutable image.  The
-    walk cuts every subtree whose families cannot cover the universe."""
+    walk cuts every subtree whose families cannot cover the universe.  A
+    bad n raises at the call."""
+    return _census_rows(_coverings(n))
+
+
+def _census_rows(coverings: Iterator[tuple[int, Covering]]) -> Iterator[CensusRow]:
+    """The rows of ``census`` for the ``_coverings`` walk ``coverings``."""
     # packed neighborhoods -> their Cov image, for this run only
     images: dict[int, Covering] = {}
-    for inter, c in _coverings(n):
+    for inter, c in coverings:
         verdict = is_invariable(c)
         image = images.get(inter)
         if image is None:
@@ -344,17 +351,13 @@ def preimages(d: Covering, limit: int | None = None) -> list[Covering]:
         raise UniverseTooLarge(
             f"preimage search is capped at {MAX_PREIMAGE_SIZE} elements; got {n}"
         )
-    found: list[Covering] = []
-    if limit == 0 or not is_cov_fixed_point(d):
-        return found
+    if not is_cov_fixed_point(d):
+        return []
     down = table(d).nbh
     universe = d.universe
     everything = (1 << n * (n + 1)) - 1
-    for _, blocks in _families(universe, _downsets(down), everything, _pack(n, down)):
-        found.append(Covering._of(universe, blocks))
-        if limit is not None and len(found) >= limit:
-            break
-    return found
+    walk = _families(universe, _downsets(down), everything, _pack(n, down))
+    return [Covering._of(universe, blocks) for _, blocks in islice(walk, limit)]
 
 
 def _downsets(down: Iterable[int]) -> list[int]:

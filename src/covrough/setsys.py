@@ -9,9 +9,11 @@ family a covering keeps; membership bisects it.  All three types are
 immutable, so instances can be shared between threads freely.  They are
 plain classes with ``__slots__`` whose equality, hash, repr and pickling
 read the public fields only, not a universe's label index or a covering's
-bit table.  They are not dataclasses because loading ``dataclasses``
-(with ``inspect``, ``ast`` and ``dis``) and generating their methods took
-nearly half of ``import covrough``.
+bit table.  Each class names those fields once, in ``_fields``; the shared
+base ``_Frozen`` builds the repr and the pickle from them, and each class
+keeps its own equality and hash.  They are not dataclasses because loading
+``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and generating
+their methods took nearly half of ``import covrough``.
 
 Validation happens once, at the boundary.  The public constructors
 ``Universe``, ``Block`` and ``Covering``, ``make_covering`` and the file
@@ -64,9 +66,11 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Refuses every attribute write or delete after construction."""
+    """Refuses every attribute write or delete after construction, and
+    prints and pickles as the constructor call over its public ``_fields``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -74,11 +78,21 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self) -> tuple:
+        # Private slots stay behind: a copy of a covering builds its own
+        # bit table on first use.
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
 
 class Universe(_Frozen):
     """Ordered, finite, nonempty collection of distinct element labels."""
 
     __slots__ = ("names", "_index")
+    _fields = ("names",)
     names: tuple[str, ...]
     _index: dict[str, int]
 
@@ -90,23 +104,22 @@ class Universe(_Frozen):
         names = tuple(_iterate(names, "element labels must be a collection of strings"))
         if not names:
             raise InvalidUniverse("a universe needs at least one element")
+        index: dict[str, int] = {}
+        repeat = None  # the first label that repeats an earlier one
         for i, name in enumerate(names):
             if not isinstance(name, str):
                 raise InvalidUniverse(
                     f"element labels must be strings; label #{i} is "
                     f"{type(name).__name__}"
                 )
-        if len(set(names)) != len(names):
-            seen: set[str] = set()
-            for name in names:  # name the first label that repeats
-                if name in seen:
-                    raise InvalidUniverse(
-                        f"element labels must be pairwise distinct; "
-                        f"{name!r} repeats"
-                    )
-                seen.add(name)
+            if index.setdefault(name, i) != i and repeat is None:
+                repeat = name
+        if repeat is not None:
+            raise InvalidUniverse(
+                f"element labels must be pairwise distinct; {repeat!r} repeats"
+            )
         _set(self, "names", names)
-        _set(self, "_index", {n: i for i, n in enumerate(names)})
+        _set(self, "_index", index)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -115,12 +128,6 @@ class Universe(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.names,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(names={self.names!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.names,)
 
     @property
     def size(self) -> int:
@@ -185,6 +192,7 @@ class Block(_Frozen):
     """Nonempty subset of a universe, stored as a bit vector."""
 
     __slots__ = ("universe", "bits")
+    _fields = ("universe", "bits")
     universe: Universe
     bits: int
 
@@ -220,12 +228,6 @@ class Block(_Frozen):
     def __hash__(self) -> int:
         # Equal blocks have equal bits; same bits in another universe only collide.
         return hash(self.bits)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(universe={self.universe!r}, bits={self.bits!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.universe, self.bits)
 
     def members(self) -> tuple[str, ...]:
         """Element labels of this block, in universe order: its set bits,
@@ -267,6 +269,7 @@ class Covering(_Frozen):
     # _table: the derived operators' bit table, built on first use (see
     # covrough._table); equality, hash, repr and pickling leave it out.
     __slots__ = ("universe", "blocks", "_table")
+    _fields = ("universe", "blocks")
     universe: Universe
     blocks: tuple[Block, ...]
 
@@ -274,7 +277,8 @@ class Covering(_Frozen):
         u = _check_universe(universe)
         given = tuple(_iterate(blocks, "blocks must be an iterable of Blocks"))
         union = 0
-        seen: set[int] = set()
+        first: dict[int, int] = {}  # bits -> the first position holding them
+        repeat = None  # the position of the first block that repeats one
         for i, b in enumerate(given):
             if not isinstance(b, Block):
                 raise TypeError(f"block #{i} must be a Block; got {type(b).__name__}")
@@ -282,15 +286,12 @@ class Covering(_Frozen):
                 raise UnknownElement(
                     f"block {b} belongs to a different universe {b.universe}"
                 )
-            seen.add(b.bits)
+            if first.setdefault(b.bits, i) != i and repeat is None:
+                repeat = i
             union |= b.bits
-        if len(seen) != len(given):
-            # name the first repeat by its positions in the argument
-            first: dict[int, int] = {}
-            for i, b in enumerate(given):
-                j = first.setdefault(b.bits, i)
-                if j != i:
-                    raise DuplicateBlock(f"blocks #{j} and #{i} are identical")
+        if repeat is not None:
+            j = first[given[repeat].bits]
+            raise DuplicateBlock(f"blocks #{j} and #{repeat} are identical")
         if union != u.full_bits:
             missing = [name for i, name in enumerate(u.names) if not union >> i & 1]
             more = len(missing) - _MISSING_NAMED
@@ -322,16 +323,6 @@ class Covering(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.universe, self.blocks))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(universe={self.universe!r}, "
-            f"blocks={self.blocks!r})"
-        )
-
-    def __reduce__(self) -> tuple:
-        # The bit table stays behind; the copy builds its own on first use.
-        return type(self), (self.universe, self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -141,6 +141,16 @@ class TestEnumerateCoverings:
         with pytest.raises(TypeError, match=message):
             verify_laws(n)
 
+    @pytest.mark.parametrize(
+        "n, error",
+        [(0, ValueError), (6, UniverseTooLarge), (True, TypeError), ("2", TypeError)],
+    )
+    def test_bad_size_raises_at_the_call(self, n, error):
+        # as verify_laws does, before any next() on the result
+        for run in (enumerate_coverings, census):
+            with pytest.raises(error):
+                run(n)
+
 
 # Coverings up to relabelling of the elements (OEIS A055621).
 ORBIT_COUNTS = {1: 1, 2: 4, 3: 34, 4: 1952}

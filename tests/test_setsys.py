@@ -40,6 +40,12 @@ from covrough import (
 from .strategies import coverings, planted_coverings
 
 
+class SubBlock(Block):
+    """A slotted subclass: it keeps the fields, repr and pickling of Block."""
+
+    __slots__ = ()
+
+
 class TestUniverse:
     def test_basic(self, u3):
         assert u3.size == 3
@@ -58,6 +64,12 @@ class TestUniverse:
             Universe(("a", "b", "a"))
         with pytest.raises(InvalidUniverse, match="'b' repeats"):
             Universe(("a", "b", "b", "a"))
+
+    def test_type_error_comes_before_a_repeat(self):
+        # the repeat is raised after the loop that type-checks every label
+        message = "^element labels must be strings; label #2 is int$"
+        with pytest.raises(InvalidUniverse, match=message):
+            Universe(("a", "a", 2))
 
     def test_non_string_labels_rejected(self):
         # the message names the position of the first label that is no str
@@ -208,6 +220,26 @@ class TestValueTypes:
             f"Covering(universe={u}, blocks=(Block(universe={u}, bits=1), "
             f"Block(universe={u}, bits=3)))"
         )
+
+    @pytest.mark.parametrize("cls", [Universe, Block, Covering])
+    def test_fields_are_the_public_slots(self, cls):
+        assert cls._fields == tuple(f for f in cls.__slots__ if not f.startswith("_"))
+
+    def test_repr_evaluates_to_the_value(self):
+        # every universe, block and covering with n <= 3
+        scope = {"Universe": Universe, "Block": Block, "Covering": Covering}
+        for n in (1, 2, 3):
+            u = default_universe(n)
+            blocks = [Block(u, m) for m in range(1, 1 << n)]
+            for value in [u, *blocks, *enumerate_coverings(n)]:
+                got = eval(repr(value), scope)
+                assert type(got) is type(value) and got == value
+
+    def test_subclass_keeps_its_name(self, u2):
+        b = SubBlock(u2, 0b10)
+        assert repr(b) == "SubBlock(universe=Universe(names=('1', '2')), bits=2)"
+        got = pickle.loads(pickle.dumps(b))
+        assert type(got) is SubBlock and got == b
 
     @pytest.mark.parametrize(
         "duplicate",
@@ -369,6 +401,16 @@ class TestMakeCovering:
     def test_direct_constructor_rejects_duplicates(self, u3):
         with pytest.raises(DuplicateBlock, match="#0 and #1"):
             Covering(u3, (Block(u3, 0b111), Block(u3, 0b111)))
+
+    def test_direct_constructor_names_the_first_repeat(self, u3):
+        a, b, c = (Block(u3, m) for m in (0b001, 0b010, 0b100))
+        with pytest.raises(DuplicateBlock, match="^blocks #1 and #3 are identical$"):
+            Covering(u3, [a, b, c, b, a])
+
+    def test_direct_constructor_names_a_non_block_before_a_repeat(self, u3):
+        b = Block(u3, 0b111)
+        with pytest.raises(TypeError, match="^block #2 must be a Block; got int$"):
+            Covering(u3, [b, b, 5])
 
 
 class TestCoveringMembership:
