@@ -45,8 +45,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(args.covering, include_lambda=args.lambda_matrix)
     if args.json:
         print(report_to_json(report))
-    else:
+        return 0
+    try:
         print(render_report(report), end="")
+    except UnicodeEncodeError as exc:
+        # Labels are the only text of the report outside ASCII.
+        bad = exc.object[exc.start]
+        label = next((x for x in args.covering.universe.names if bad in x), bad)
+        raise CoveringError(
+            f"cannot write label {label!a} in the output encoding "
+            f"{exc.encoding}; use --json, which writes ASCII only"
+        ) from None
     return 0
 
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -359,3 +360,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "IS a neighborhoods" in proc.stdout
+
+    @pytest.mark.parametrize("label, encoding", [("\xe9", "ascii"), ("x\ud800", "utf-8")])
+    def test_unencodable_label_is_named(self, tmp_path, label, encoding):
+        c = make_covering(Universe(("a", label)), [["a"], ["a", label]])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(covering_to_dict(c)))
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        argv = [sys.executable, "-m", "covrough", "analyze", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: cannot write label {ascii(label)} in the output encoding "
+            f"{encoding}; use --json, which writes ASCII only\n"
+        )
+        proc = subprocess.run([*argv, "--json"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["covering"] == covering_to_dict(c)

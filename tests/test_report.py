@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from covrough import (
+    Block,
+    Covering,
+    Universe,
     analyze,
     common_block_repeat_degree,
     core_block,
@@ -14,14 +17,16 @@ from covrough import (
     is_invariable,
     is_partition,
     is_reducible_element,
+    make_covering,
     membership_repeat_degree,
     neighborhood,
     render_report,
+    report,
     report_to_dict,
 )
-from covrough.report import Classification, _indented, report_to_json
+from covrough.report import Classification, report_to_json
 
-from .strategies import planted_coverings
+from .strategies import coverings, planted_coverings
 
 
 class TestAnalyze:
@@ -172,54 +177,58 @@ _AWKWARD = st.sampled_from(
      "\ud800", "\udfff", "\U0001f600"]
 )
 _TEXT = st.text(_AWKWARD | st.characters(), max_size=8)
-_SCALARS = st.none() | st.booleans() | st.integers() | _TEXT
-_TREES = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(_TEXT, children, max_size=5),
-    max_leaves=40,
-)
+
+
+@st.composite
+def _awkward_coverings(draw):
+    """A covering of 1 to 6 elements relabelled with distinct awkward labels."""
+    c = draw(coverings())
+    n = c.universe.size
+    u = Universe(tuple(draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True))))
+    return Covering(u, tuple(Block(u, b.bits) for b in c.blocks))
 
 
 def _as_indent_2(obj):
     return json.dumps(obj, indent=2)
 
 
+# Each case has a row that takes one branch of the writer.
+_BRANCHES = {
+    "redundant_union": lambda r: any(b.witness for b in r.blocks),
+    "overlapping_pair": lambda r: any(e.core_block is None for e in r.elements),
+    "triangle": lambda r: any(not b.core_block_of for b in r.blocks),
+    "one_element": lambda r: r.covering.universe.size == 1,
+}
+
+
 class TestReportJson:
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            [1, True, 2, False],
-            [True, False],
-            [1, None, "a", True],
-            [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
-            {"a": [], "b": {}, "c": [1, []], "d": {"e": {}, "f": "g"}},
-            [[1, 2], ["x", "y"], [[3]]],
-            ["\xe9", '"', "\\", "\x00", "\ud800", "\U0001f600"],
-            {"\xe9\ud800\n": ["\udfff"]},
-            [],
-            {},
-            -0,
-            "",
-        ],
-    )
-    def test_edge_cases_match_json_dumps(self, obj):
-        assert _indented(obj, "\n") == _as_indent_2(obj)
+    @settings(deadline=None)
+    @given(_awkward_coverings(), st.booleans())
+    def test_awkward_labels_match_json_dumps(self, c, include_lambda):
+        r = analyze(c, include_lambda=include_lambda)
+        assert report_to_json(r) == _as_indent_2(report_to_dict(r))
 
-    @given(_TREES)
-    def test_trees_match_json_dumps(self, obj):
-        assert _indented(obj, "\n") == _as_indent_2(obj)
+    @pytest.mark.parametrize("include_lambda", [False, True])
+    @pytest.mark.parametrize("name", sorted(_BRANCHES))
+    def test_each_branch_matches_json_dumps(self, request, name, include_lambda):
+        if name == "one_element":
+            c = make_covering(Universe(("1",)), [["1"]])
+        else:
+            c = request.getfixturevalue(name)
+        r = analyze(c, include_lambda=include_lambda)
+        assert _BRANCHES[name](r)
+        assert report_to_json(r) == _as_indent_2(report_to_dict(r))
 
-    @given(st.lists(_SCALARS, min_size=1, max_size=8))
-    def test_mixed_scalar_lists_match_json_dumps(self, items):
-        assert _indented(items, "\n") == _as_indent_2(items)
+    def test_written_without_the_dict(self, monkeypatch, redundant_union):
+        r = analyze(redundant_union, include_lambda=True)
+        expected = _as_indent_2(report_to_dict(r))
 
-    @pytest.mark.parametrize(
-        "obj", [1.5, (1, 2), {1: "a"}, {None: 1}, [1, 2.0], {"a": (1,)}, {"a"}]
-    )
-    def test_other_types_raise(self, obj):
-        with pytest.raises(TypeError):
-            _indented(obj, "\n")
+        def refuse(*args):
+            raise AssertionError("report_to_json built a dict")
+
+        monkeypatch.setattr(report, "report_to_dict", refuse)
+        monkeypatch.setattr(report, "covering_to_dict", refuse)
+        assert report_to_json(r) == expected
 
     @pytest.mark.parametrize("include_lambda", [False, True])
     def test_every_small_report_matches_json_dumps(self, include_lambda):
