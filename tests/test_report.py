@@ -201,7 +201,41 @@ _BRANCHES = {
 }
 
 
+def _edge_covering(obj):
+    """The covering with these blocks' label lists, or the one-element
+    covering of a single label."""
+    blocks = [[obj]] if isinstance(obj, str) else obj
+    names = tuple(dict.fromkeys(x for b in blocks for x in b))
+    return make_covering(Universe(names), blocks)
+
+
 class TestReportJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["\xe9", '"', "\\", "\x00", "\ud800", "\U0001f600"]],
+            [["\xe9\ud800\n"], ["\udfff", "\xe9\ud800\n"]],
+            [["\u2028", "\t"], ["\x7f", "/"]],
+            [["1", "2"], ["true", "null"], ["false", "-0"]],
+            [['"'], ["\\"], ['"', "\\"]],
+            [["\x00", "\xe9"], ["\xe9", "\U0001f600"]],
+            [["", " "], [" ", "\u2028"], ["", "\u2028"]],
+            [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"], ["a", "b", "c"]],
+            [["a", "b", "c"]],
+            [["\n"], ["\\n"], ["\n", "\\n"]],
+            "0",
+            "",
+        ],
+    )
+    def test_edge_cases_match_json_dumps(self, obj):
+        # Awkward labels, labels that read as JSON numbers or literals, the
+        # empty label, and line breaks beside their escaped spelling, in
+        # reducible, core-less and one-element coverings.
+        c = _edge_covering(obj)
+        for include_lambda in (False, True):
+            r = analyze(c, include_lambda=include_lambda)
+            assert report_to_json(r) == _as_indent_2(report_to_dict(r))
+
     @settings(deadline=None)
     @given(_awkward_coverings(), st.booleans())
     def test_awkward_labels_match_json_dumps(self, c, include_lambda):
