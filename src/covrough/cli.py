@@ -11,12 +11,13 @@ Subcommands::
 
 Coverings are read from JSON files ({"universe": [...], "blocks": [[...]]}).
 Results go to stdout, errors to stderr.  Exit codes: 0 success, 1 bad input
-or failed verification, 2 usage error.  A negative ``--limit`` and a
-``--n`` below 1 are usage errors; ``--n`` above 5 is refused with exit code
-1.  ``verify --n 5`` runs for minutes (see ``verify --help``) and writes a
-progress line to stderr about every 10 s; shorter runs write none.  When
-the reader of stdout closes it early
-(``covrough preimages FILE | head -1``), the command stops without a
+or failed verification, 2 usage error, 130 for a ``verify`` run stopped by
+an interrupt (Ctrl-C), which ends with one stderr line saying how far it
+got.  A negative ``--limit`` and a ``--n`` below 1 are usage errors;
+``--n`` above 5 is refused with exit code 1.  ``verify --n 5`` runs for
+minutes (see ``verify --help``) and writes a progress line to stderr about
+every 10 s; shorter runs write none.  When the reader of stdout closes it
+early (``covrough preimages FILE | head -1``), the command stops without a
 message and exits 1.
 """
 
@@ -115,6 +116,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     log.setLevel(logging.INFO)
     try:
         summary = verify_laws(args.n)
+    except KeyboardInterrupt:
+        # verify_laws has logged how far it got: that line is all
+        return 130
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -195,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_at_least(1),
         required=True,
-        help="universe size, 1..5 (5 takes about 21 minutes)",
+        help="universe size, 1..5 (5 takes about 16 minutes)",
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.set_defaults(func=_cmd_verify)

@@ -217,35 +217,46 @@ def verify_laws(n: int) -> VerificationSummary:
     total, the rate since the previous record and the time left at that
     rate, so only runs that last that long report anything.  Such a run
     ends with one more record: the representatives done, and the wall and
-    CPU (``time.process_time``) seconds of the whole run.  The records
-    reach a caller only through its own logging configuration.
+    CPU (``time.process_time``) seconds of the whole run.  A run of any
+    length stopped by ``KeyboardInterrupt`` logs one record with the
+    representatives checked so far, such as ``verify n=5: interrupted
+    after 98304 of 18664632 orbits``, and re-raises it.  The records reach
+    a caller only through its own logging configuration.
     """
     _check_size(n)
     universe = default_universe(n)
     total = partitions = irreducible = invariable = fixed_points = 0
     violations: list[tuple[Covering, str]] = []
-    # image -> the image laws it breaks, for this run only
-    image_laws: dict[tuple[int, ...], list[str]] = {}
+    # per-element neighborhoods -> the laws and image that read only them,
+    # for this run only (see _check_covering)
+    memo: dict = {}
     # the representatives done and the clock at the last progress record
     last_done, last_time = 0, time.perf_counter()
     start_time, start_cpu = last_time, time.process_time()
-    for done, (masks, weight, state) in enumerate(_orbit_representatives(n), 1):
-        if not done % _PROGRESS_STRIDE:
-            now = time.perf_counter()
-            if now >= last_time + _PROGRESS_INTERVAL_S:
-                rate = (done - last_done) / (now - last_time)
-                _report_progress(n, done, rate)
-                last_done, last_time = done, now
-        p, irr, inv, fix, bad = _check_covering(n, masks, image_laws, state)
-        total += weight
-        partitions += p * weight
-        irreducible += irr * weight
-        invariable += inv * weight
-        fixed_points += fix * weight
-        for law in bad:
-            # the masks are distinct, ascending and cover the universe
-            blocks = tuple(Block._of(universe, m) for m in masks)
-            violations.append((Covering._of(universe, blocks), law))
+    finished = 0  # the representatives checked
+    try:
+        for done, (masks, weight, state) in enumerate(_orbit_representatives(n), 1):
+            if not done % _PROGRESS_STRIDE:
+                now = time.perf_counter()
+                if now >= last_time + _PROGRESS_INTERVAL_S:
+                    rate = (done - last_done) / (now - last_time)
+                    _report_progress(n, done, rate)
+                    last_done, last_time = done, now
+            p, irr, inv, fix, bad = _check_covering(n, masks, memo, state)
+            total += weight
+            partitions += p * weight
+            irreducible += irr * weight
+            invariable += inv * weight
+            fixed_points += fix * weight
+            for law in bad:
+                # the masks are distinct, ascending and cover the universe
+                blocks = tuple(Block._of(universe, m) for m in masks)
+                violations.append((Covering._of(universe, blocks), law))
+            finished = done
+    except KeyboardInterrupt:
+        orbits = _ORBIT_COUNTS[n]
+        _log("verify n=%d: interrupted after %d of %d orbits", n, finished, orbits)
+        raise
     if last_done:
         wall = time.perf_counter() - start_time
         cpu = time.process_time() - start_cpu

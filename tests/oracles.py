@@ -7,7 +7,7 @@ paths, so agreement between the two is meaningful.
 
 from functools import cache
 from itertools import chain, combinations, permutations
-from math import comb
+from math import comb, factorial
 
 
 def powerset(items):
@@ -166,3 +166,48 @@ def orbit_bruteforce(fam, n):
     """Every distinct image of a family of subsets of range(n) under the n!
     relabellings of the elements."""
     return {frozenset(map(image.__getitem__, fam)) for image in _relabelled_subsets(n)}
+
+
+def orbit_walk_reference(n):
+    """One covering of range(n) per relabelling orbit, by orderly
+    generation that compares each family with its images under all n! - 1
+    non-identity relabellings: yields ``(masks, weight)``, the ascending
+    subset bit vectors of the canonical family (the largest family mask in
+    its orbit) and the orbit's size, in the order the law checker's walk
+    takes.
+
+    Depth first from the empty family: a family's children add one subset
+    below its lowest member, the subset with bit vector j + 1 for
+    j = 0, 1, ... in turn, and each child that covers range(n) is yielded
+    as it is met.  A child is kept when none of its images has a larger
+    family mask, and the images equal to it count its automorphisms less
+    the identity.  A child is passed over, with everything below it, when
+    it and the subsets 1..j cannot cover range(n)."""
+    full = (1 << n) - 1
+    relabellings = list(permutations(range(n)))[1:]
+    # per family-mask bit j: its bit under each relabelling
+    bit_images = []
+    for subset in range(1, full + 1):
+        members = [x for x in range(n) if subset >> x & 1]
+        images = [sum(1 << p[x] for x in members) for p in relabellings]
+        bit_images.append([1 << (image - 1) for image in images])
+    # reach[j]: the union of the subsets 1..j
+    reach = [0]
+    for subset in range(1, full + 1):
+        reach.append(reach[-1] | subset)
+    order = factorial(n)
+    stack = [(0, full, (), 0, [0] * len(relabellings))]
+    while stack:
+        family, low, masks, union, images = stack.pop()
+        for j in range(low):
+            covered = union | (j + 1)
+            if covered | reach[j] != full:
+                continue
+            child = family | 1 << j
+            child_images = [a | b for a, b in zip(images, bit_images[j])]
+            if any(image > child for image in child_images):
+                continue
+            child_masks = (j + 1,) + masks
+            if covered == full:
+                yield child_masks, order // (1 + child_images.count(child))
+            stack.append((child, j, child_masks, covered, child_images))

@@ -199,6 +199,34 @@ class TestVerifyCommand:
         assert log.handlers == []
         assert log.level == logging.NOTSET
 
+    def test_interrupt_ends_with_one_line(self):
+        # a KeyboardInterrupt raised while checking the 101st n=4
+        # representative, as Ctrl-C would raise it: exit 130, nothing on
+        # stdout, and one stderr line saying how far the run got
+        script = "\n".join(
+            [
+                "import sys",
+                "from covrough import cli, oracle",
+                "check = oracle._check_covering",
+                "calls = []",
+                "def interrupted(*args):",
+                "    if len(calls) == 100:",
+                "        raise KeyboardInterrupt",
+                "    calls.append(args)",
+                "    return check(*args)",
+                "oracle._check_covering = interrupted",
+                "sys.argv = ['covrough', 'verify', '--n', '4']",
+                "cli.main()",
+            ]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 130
+        assert proc.stdout == ""
+        assert proc.stderr == "verify n=4: interrupted after 100 of 1952 orbits\n"
+        assert "Traceback" not in proc.stderr
+
     def test_exit_one_when_laws_fail(self, capsys, monkeypatch):
         from covrough import _laws
 

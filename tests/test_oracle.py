@@ -42,6 +42,7 @@ from .oracles import (
     family_of,
     family_of_masks,
     orbit_bruteforce,
+    orbit_walk_reference,
     pair_count_definitional,
     reduct_restarting,
 )
@@ -201,6 +202,29 @@ class TestOrbitRepresentatives:
         for masks, _, state in reps:
             assert state == _laws._covering_state(n, masks)
 
+    @pytest.mark.parametrize(
+        "n, count", [(1, 1), (2, 4), (3, 34), (4, 1952), (5, 20000)]
+    )
+    def test_equals_the_walk_over_every_relabelling(self, n, count):
+        # dropping the relabellings that can no longer matter changes
+        # neither the representatives, nor their weights, nor their order;
+        # n=5 is checked on its first 20000 representatives
+        got = [(m, w) for m, w, _ in islice(_laws._orbit_representatives(n), count)]
+        assert len(got) == count
+        assert got == list(islice(orbit_walk_reference(n), count))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabelling_bounds(self, n):
+        # per bit j and relabelling: twice the highest image bit of the
+        # subsets 1..j, and 1 where there are none
+        columns = _laws._relabelling_columns(n)
+        relabellings = range(len(columns[0]))
+        expected = [
+            [max([2 * col[k] for col in columns[:j]], default=1) for k in relabellings]
+            for j in range(len(columns))
+        ]
+        assert list(map(list, _laws._relabelling_bounds(n))) == expected
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_covering_state_by_definition(self, n):
         # the reference state against frozensets, on every labelled
@@ -276,6 +300,19 @@ def test_law_fires_on_corrupted_state(law):
     computed = _laws._covering_state(n, masks)
     assert _laws._check_covering(n, masks, {}, computed)[4] == []
     assert law in _laws._check_covering(n, masks, {}, state)[4]
+
+
+@pytest.mark.parametrize("n, count", [(4, 1952), (5, 20000)])
+def test_run_memo_is_only_a_memo(n, count):
+    # one memo shared by the whole run gives what a fresh one per call
+    # gives, law names in the same order; n=5 on its first 20000
+    # representatives
+    reps = list(islice(_laws._orbit_representatives(n), count))
+    memo = {}
+    shared = [_laws._check_covering(n, m, memo, s) for m, _, s in reps]
+    fresh = [_laws._check_covering(n, m, {}, s) for m, _, s in reps]
+    assert shared == fresh
+    assert 1 < len(memo) < count
 
 
 def _labelled_scan(n):
@@ -473,6 +510,34 @@ class TestVerifyLaws:
         assert done.stdout == "32297\n"
         assert done.stderr == ""
 
+    @pytest.mark.parametrize("where", ["checker", "walk"])
+    def test_interrupt_is_logged_and_raised(self, monkeypatch, caplog, where):
+        # stopped while checking the sixth representative, or while the
+        # walk looks for it: five are done either way
+        if where == "checker":
+            check = _laws._check_covering
+            calls = []
+
+            def interrupted(*args):
+                if len(calls) == 5:
+                    raise KeyboardInterrupt
+                calls.append(args)
+                return check(*args)
+
+            monkeypatch.setattr(oracle, "_check_covering", interrupted)
+        else:
+
+            def walk(n):
+                yield from islice(_laws._orbit_representatives(n), 5)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(oracle, "_orbit_representatives", walk)
+        with caplog.at_level(logging.INFO, logger="covrough.oracle"):
+            with pytest.raises(KeyboardInterrupt):
+                verify_laws(3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "verify n=3: interrupted after 5 of 34 orbits"
+        ]
 
     def test_broken_law_is_reported(self, monkeypatch):
         # sabotage reducibility detection and make sure the harness notices:
