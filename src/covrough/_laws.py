@@ -440,7 +440,8 @@ def _check_covering(
     # block has two or more members, each of them in two or more blocks; a
     # reducible block is no core block; when every element has a core
     # block, every other block is reducible; and, below, invariable iff
-    # every block is a core block
+    # every block is a core block.  Four any() scans instead took
+    # verify_laws(4) from 60.5 to 66.6 ms.
     core_set = {g for _, g in cored}
     lonely = sum(1 << x for x in range(n) if deg[x] <= 1)
     reducible = _reducible_flags(masks, unions)

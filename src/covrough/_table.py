@@ -78,6 +78,8 @@ class BitTable:
                     holders[x] |= bit
                     rest ^= low
         else:
+            # the bit walk above, at every width, took census(4) from 379
+            # to 412 ms
             for j, m in enumerate(masks):
                 bit = 1 << j
                 for x in BYTE_BITS[m]:
@@ -153,6 +155,7 @@ class BitTable:
 def pick(c: Covering, mask: int) -> list[Block]:
     """The blocks of ``c`` at the set bits of a block-index mask, in
     canonical order."""
+    # Each set-bit walk is written inline: see Block.members.
     out = []
     while mask:
         low = mask & -mask

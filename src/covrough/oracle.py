@@ -150,7 +150,9 @@ def _families(
     unmet = mask & ~want
     # runs[k]: one (runs[j], column, cut, (block,)) per child, for
     # j = k - 1 down to 0, of a family whose lowest member is subsets[k]
-    # (of the empty family for k = len(subsets))
+    # (of the empty family for k = len(subsets)).  A plain loop over child
+    # indices took preimages of the discrete 4-element family from 19.8 to
+    # 22.9 ms, and enumerate_coverings(4) from 27.5 to 31.9 ms.
     runs: list[tuple] = [()]
     below = inter  # the AND of the columns of subsets[:j]
     for j, m in enumerate(subsets):
@@ -295,17 +297,17 @@ def _log(message: str, *args: object) -> None:
 def census(n: int) -> Iterator[CensusRow]:
     """Stream every covering, in enumeration order, with its
     classification flags, computed through the public operations
-    (``is_partition``, ``is_invariable``, ``is_cov_fixed_point``,
-    ``cov``), not the raw law checker.  README "Limits" gives the time of
-    n = 4.
+    (``is_partition``, ``is_invariable``, ``cov``), not the raw law
+    checker.  README "Limits" gives the time of n = 4.
 
     The per-element neighborhoods N(x) fix Cov(C), and the family walk
     yields them with each covering, packed into one int as the meet it
     carries.  So ``cov`` runs once per distinct packed meet in a run (355
     times for the 32297 coverings of n = 4, one per labelled preorder),
     and the rows that share a meet share that one immutable image.  The
-    walk cuts every subtree whose families cannot cover the universe.  A
-    bad n raises at the call."""
+    fixed-point flag compares that image with the covering, which is what
+    ``is_cov_fixed_point`` decides.  The walk cuts every subtree whose
+    families cannot cover the universe.  A bad n raises at the call."""
     return _census_rows(_coverings(n))
 
 
@@ -323,7 +325,7 @@ def _census_rows(coverings: Iterator[tuple[int, Covering]]) -> Iterator[CensusRo
             is_partition=is_partition(c),
             is_irreducible=not verdict.reducible_blocks,
             is_invariable=verdict.invariable,
-            is_cov_fixed_point=is_cov_fixed_point(c),
+            is_cov_fixed_point=image == c,
             cov_image=image,
         )
 

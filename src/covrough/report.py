@@ -7,17 +7,20 @@ fields one to one.
 element and block index; the pair-degree matrix is computed only on
 request.
 
-``report_to_dict`` is the one JSON schema.  ``report_to_json`` writes its
-text, byte for byte what ``json.dumps`` writes for that dict with
-``indent=2``: a two-space indent and ``\\uXXXX`` escapes for non-ASCII.
-It writes the text in one pass over the report, without building the
-dict: it quotes each label once and writes each distinct block's label
-list once, and that one text serves every place the block appears.
-``json.dumps`` with any ``indent`` falls back to its pure-Python encoder,
-and building the dict and then walking it made the text the largest part
-of ``analyze --json`` on 64-element coverings: on the benchmark's
-64-element, 2000-block covering the text took 15.5-16.2 ms that way and
-takes 7.0-7.5 ms in one pass (README, "analyze --json schema").
+``report_to_dict`` is the one JSON schema, built plainly from each
+block's own members.  No command calls it: it is the reference that the
+tests and CI hold ``report_to_json`` to.  ``report_to_json`` writes the
+text of ``analyze --json``, byte for byte what ``json.dumps`` writes for
+that dict with ``indent=2``: a two-space indent and ``\\uXXXX`` escapes
+for non-ASCII.  It writes the text in one pass over the report, without
+building the dict: it quotes each label once and writes each distinct
+block's label list once, and that one text serves every place the block
+appears.  ``json.dumps`` with any ``indent`` falls back to its
+pure-Python encoder, and building the dict and then walking it made the
+text the largest part of ``analyze --json`` on 64-element coverings: on
+the benchmark's 64-element, 2000-block covering the text took
+15.5-16.2 ms that way and takes 7.0-7.5 ms in one pass (README,
+"analyze --json schema").
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from ._table import pick, table
-from .neighborhoods import cov, is_cov_fixed_point
+from .neighborhoods import cov
 from .reduction import is_invariable
 from .setsys import Block, Covering, covering_to_dict, is_partition
 
@@ -64,9 +67,10 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
     """Compute the full report for one covering.
 
     Every row is read from the covering's one bit table by element and
-    block index; the verdicts are the library's own tests.  The pair-degree
-    matrix is computed only when ``include_lambda`` is set: it is quadratic
-    in the universe size and rarely wanted.
+    block index.  The verdicts are the library's own tests, except that
+    Cov(C) = C compares the image the report already holds with ``c``.
+    The pair-degree matrix is computed only when ``include_lambda`` is
+    set: it is quadratic in the universe size and rarely wanted.
     """
     t, names, image = table(c), c.universe.names, cov(c)
     nbh = {b.bits: b for b in image.blocks}  # one Block per distinct N(x)
@@ -93,29 +97,22 @@ def analyze(c: Covering, include_lambda: bool = False) -> AnalysisReport:
         partition=is_partition(c),
         irreducible=not verdict.reducible_blocks,
         invariable=verdict.invariable,
-        cov_fixed_point=is_cov_fixed_point(c),
+        cov_fixed_point=image == c,
     )
     return AnalysisReport(c, elements, lam, blocks, classification, image)
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
     """JSON form of the report; schema documented in the README."""
-    covering = covering_to_dict(r.covering)
-    cov = covering_to_dict(r.cov)
-    # Every block in the report is a block of the covering (rows, core
-    # blocks, witnesses) or of Cov (neighborhoods): reuse the member lists
-    # computed for those two, copied so that no two parts share a list.
-    labels = dict(zip([b.bits for b in r.covering.blocks], covering["blocks"]))
-    labels.update(zip([b.bits for b in r.cov.blocks], cov["blocks"]))
     return {
-        "covering": covering,
+        "covering": covering_to_dict(r.covering),
         "elements": [
             {
                 "element": e.element,
                 "membership_degree": e.membership_degree,
-                "neighborhood": list(labels[e.neighborhood.bits]),
+                "neighborhood": list(e.neighborhood.members()),
                 "core_block": (
-                    list(labels[e.core_block.bits]) if e.core_block else None
+                    list(e.core_block.members()) if e.core_block else None
                 ),
             }
             for e in r.elements
@@ -130,19 +127,19 @@ def report_to_dict(r: AnalysisReport) -> dict:
         ),
         "blocks": [
             {
-                "block": list(labels[b.block.bits]),
+                "block": list(b.block.members()),
                 "core_block_of": list(b.core_block_of),
                 "reducible": b.witness is not None,
                 "witness": (
                     None
                     if b.witness is None
-                    else [list(labels[w.bits]) for w in b.witness]
+                    else [list(w.members()) for w in b.witness]
                 ),
             }
             for b in r.blocks
         ],
         "classification": r.classification._asdict(),
-        "cov": cov,
+        "cov": covering_to_dict(r.cov),
         "cov_equals_covering": r.classification.cov_fixed_point,
     }
 

@@ -11,9 +11,11 @@ plain classes with ``__slots__`` whose equality, hash, repr and pickling
 read the public fields only, not a universe's label index or a covering's
 bit table.  Each class names those fields once, in ``_fields``; the shared
 base ``_Frozen`` builds the repr and the pickle from them, and each class
-keeps its own equality and hash.  They are not dataclasses because loading
-``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and generating
-their methods took nearly half of ``import covrough``.
+keeps its own equality and hash: ``_Frozen`` versions over ``_fields``
+made ``==`` between two lists of the 19020 preimages of the discrete
+4-element family take 141 ms instead of 16 ms.  They are not dataclasses
+because loading ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``)
+and generating their methods took nearly half of ``import covrough``.
 
 Validation happens once, at the boundary.  The public constructors
 ``Universe``, ``Block`` and ``Covering``, ``make_covering`` and the file
@@ -232,6 +234,9 @@ class Block(_Frozen):
     def members(self) -> tuple[str, ...]:
         """Element labels of this block, in universe order: its set bits,
         lowest first."""
+        # One set-bit generator shared with _table's walks took analyze
+        # --lambda --json on 64 elements and 2000 blocks from 24.3 to
+        # 26.9 ms, and reduce on it from 17.9 to 20.9 ms.
         names = self.universe.names
         out = []
         rest = self.bits

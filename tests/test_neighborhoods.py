@@ -1,9 +1,12 @@
+from itertools import chain, islice
+
 import pytest
 from hypothesis import given
 
 from covrough import (
     RejectReason,
     UnknownElement,
+    census,
     cov,
     enumerate_coverings,
     is_cov_fixed_point,
@@ -108,6 +111,19 @@ class TestFixedPoint:
     def test_partition_implies_fixed(self, c):
         if is_partition(c):
             assert is_cov_fixed_point(c)
+
+    def test_agrees_with_cov_exhaustively(self):
+        # census and analyze read the verdict from the image they build, so
+        # this is the test that holds the shortcut here to cov
+        small = (c for n in (1, 2, 3, 4) for c in enumerate_coverings(n))
+        five = (row.covering for row in islice(census(5), 2000))
+        seen = set()
+        for c in chain(small, five):
+            fixed = is_cov_fixed_point(c)
+            assert fixed == (cov(c) == c)
+            seen.add((c.universe.size, fixed))
+        both = {(n, flag) for n in (2, 3, 4, 5) for flag in (False, True)}
+        assert seen == both | {(1, True)}
 
 
 class TestQuickReject:

@@ -591,6 +591,15 @@ class TestReductReference:
         self._agree(tuple(b.bits for b in c.blocks))
 
 
+@pytest.mark.parametrize(
+    "family, ok",
+    [((1, 2, 3), False), ((1, 2, 4, 7), False), ((1, 2), True), ((3, 5, 6), True)],
+)
+def test_no_union_reference(family, ok):
+    # 3 = 1 | 2 and 7 = 1 | 2 | 4; in (3, 5, 6) each union of two is 7
+    assert _laws._no_union_ok(family) is ok
+
+
 class TestCensus:
     def test_rows_are_consistent(self, fixed_non_partition):
         rows = list(census(3))

@@ -190,6 +190,28 @@ class TestValueTypes:
         d = make_covering(v, [names[30:], names[:40]])
         assert c == d and hash(c) == hash(d) == hash((c.universe, c.blocks))
 
+    def test_equal_bits_over_other_universes_differ(self):
+        u, v = Universe(("a", "b")), Universe(("x", "y"))
+        assert Block(u, 0b01) != Block(v, 0b01)
+
+    def test_equal_masks_over_other_universes_differ(self):
+        u, v = Universe(("a", "b")), Universe(("x", "y"))
+        c = make_covering(u, [["a"], ["b"]])
+        d = make_covering(v, [["x"], ["y"]])
+        assert [b.bits for b in c] == [b.bits for b in d]
+        assert c != d
+
+    def test_universe_order_matters(self):
+        assert Universe(("a", "b")) != Universe(("b", "a"))
+
+    def test_subclass_with_equal_fields_differs(self, u2):
+        class SubBlock(Block):
+            __slots__ = ()
+
+        sub, block = SubBlock(u2, 0b01), Block(u2, 0b01)
+        assert sub != block
+        assert block != sub
+
     @pytest.mark.parametrize(
         "make, attrs",
         [
